@@ -190,16 +190,16 @@ def per_activity_energy(
 class _KahanSum:
     """Compensated accumulator; keeps week-long ledgers exact to < 1 nJ."""
 
-    __slots__ = ("total", "_c")
+    __slots__ = ("total", "comp")
 
     def __init__(self):
         self.total = 0.0
-        self._c = 0.0
+        self.comp = 0.0
 
     def add(self, x: float):
-        y = x - self._c
+        y = x - self.comp
         t = self.total + y
-        self._c = (t - self.total) - y
+        self.comp = (t - self.total) - y
         self.total = t
 
 

@@ -147,13 +147,13 @@ def _run_flood(
     first_slot: dict[int, Optional[int]] = {node: None for node in participants}
     tx_left: dict[int, int] = {node: 0 for node in participants}
     tx_count: dict[int, int] = {node: 0 for node in participants}
-    on_slots: dict[int, int] = {node: 0 for node in participants}
 
     for node, pkt in holders.items():
         packet[node] = pkt
         first_slot[node] = 0
         tx_left[node] = budget
 
+    table = links.reception_table(config, ramp_width_db)
     order = sorted(participants)
     for slot in range(1, n_slots + 1):
         transmitters = [
@@ -163,37 +163,52 @@ def _run_flood(
         for u in transmitters:
             tx_left[u] -= 1
             tx_count[u] += 1
-            on_slots[u] += 1
-        for v in order:
-            if packet[v] is not None:
-                # holders that are out of budget keep the radio off
-                continue
-            on_slots[v] += 1
-            if not transmitters:
-                continue
-            attempts = [
-                ConcurrentAttempt(
-                    packet_id=packet[u],
-                    sender=u,
-                    rx_power_dbm=config.tx_power_dbm - links.loss_db(u, v),
+        if not transmitters:
+            continue
+        listeners = [v for v in order if packet[v] is None]
+        heard: list[tuple[int, int]] = []
+        sent = {packet[u] for u in transmitters}
+        if len(sent) == 1:
+            # One payload: resolve_concurrent's single-group case. Its
+            # candidate is the strongest copy and the ramp is monotone, so
+            # the candidate's probability is the best link's; the draws are
+            # the same, in the same order.
+            (pkt,) = sent
+            best = list(map(max, zip(*[table[u] for u in transmitters])))
+            for v in listeners:
+                p = best[v]
+                if p >= 1.0 or (p > 0.0 and stream.random() < p):
+                    heard.append((v, pkt))
+        else:
+            for v in listeners:
+                attempts = [
+                    ConcurrentAttempt(
+                        packet_id=packet[u],
+                        sender=u,
+                        rx_power_dbm=config.tx_power_dbm - links.loss_db(u, v),
+                    )
+                    for u in transmitters
+                ]
+                won = resolve_concurrent(
+                    attempts, config.sensitivity_dbm, ramp_width_db,
+                    capture_sigma_db, stream,
                 )
-                for u in transmitters
-            ]
-            won = resolve_concurrent(
-                attempts, config.sensitivity_dbm, ramp_width_db,
-                capture_sigma_db, stream,
-            )
-            if won is not None:
-                packet[v] = won
-                first_slot[v] = slot
-                tx_left[v] = budget
+                if won is not None:
+                    heard.append((v, won))
+        for v, pkt in heard:
+            packet[v] = pkt
+            first_slot[v] = slot
+            tx_left[v] = budget
 
+    # a node listens in every sub-slot up to and including the one it first
+    # receives in, transmits in tx_count more, and keeps its radio off after
     nodes = {
         node: FloodNodeResult(
             received=packet[node] is not None,
             packet_id=packet[node],
             first_slot=first_slot[node],
-            radio_on_s=on_slots[node] * slot_s,
+            radio_on_s=((n_slots if packet[node] is None else first_slot[node])
+                        + tx_count[node]) * slot_s,
             tx_count=tx_count[node],
         )
         for node in participants

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from ..radio import (
     ConcurrentAttempt,
     DEFAULT_CAPTURE_SIGMA_DB,
     DEFAULT_RAMP_DB,
-    RadioConfig,
     RadioPowerTable,
     resolve_concurrent,
     time_on_air,
@@ -90,17 +89,16 @@ class NodeAccount:
     """
 
     __slots__ = (
-        "node", "storage", "params", "trace", "power_table", "ledger",
+        "node", "storage", "params", "trace", "ledger",
         "clock_s", "_res", "_samples", "_n", "_ceff", "_eff", "_nz_starts",
     )
 
     def __init__(self, node: int, storage: EnergyStorage, params: EnergyParams,
-                 trace: HarvestTrace, power_table: RadioPowerTable):
+                 trace: HarvestTrace):
         self.node = node
         self.storage = storage
         self.params = params
         self.trace = trace
-        self.power_table = power_table
         self.ledger = EnergyLedger()
         self.clock_s = 0.0
         self._res = trace.resolution_s
@@ -111,20 +109,6 @@ class NodeAccount:
         self._eff = params.buck_efficiency
         nz = np.nonzero(trace.samples)[0]
         self._nz_starts = nz * self._res
-
-    def load_power(self, activity: Activity,
-                   config: Optional[RadioConfig] = None) -> float:
-        if activity is Activity.TX:
-            return self.power_table.tx_watts(config)
-        if activity is Activity.LISTEN:
-            return self.power_table.rx_watts(config)
-        if activity is Activity.IDLE:
-            return self.params.p_idle
-        if activity is Activity.SLEEP:
-            return self.params.p_sleep
-        if activity is Activity.BOOT_WAIT:
-            return self.params.p_boot
-        raise SimulationError(f"{activity} has no continuous power")
 
     def integrate(self, t1: float, p_load: float, category: str,
                   die: bool) -> Optional[float]:
@@ -148,7 +132,15 @@ class NodeAccount:
         samples = self._samples
         n = self._n
         ceff = self._ceff
+        # the ledger's compensated sums, updated inline below with exactly
+        # the adds of EnergyLedger.add_harvest then add_drawn, 0.0 included
         ledger = self.ledger
+        s_in, s_waste, s_cat = (ledger._e_in, ledger._e_wasted,
+                                ledger._cats[category])
+        in_t, in_c = s_in.total, s_in.comp
+        w_t, w_c = s_waste.total, s_waste.comp
+        d_t, d_c = s_cat.total, s_cat.comp
+        died = False
         while True:
             k = int(t / res)
             seg_end = (k + 1) * res
@@ -159,45 +151,53 @@ class NodeAccount:
                 h = p_in * dt
                 u = p_draw * dt
                 avail = e + h
+                w = 0.0
                 if u >= avail and u > 0.0:
                     if die:
                         denom = p_draw - p_in
                         tau = e / denom if denom > 0.0 else dt
                         if tau > dt:
                             tau = dt
-                        h_partial = p_in * tau
-                        ledger.add_harvest(h_partial, 0.0)
-                        ledger.add_drawn(category, e + h_partial)
-                        self.storage.e_cap = 0.0
-                        self.clock_s = t + tau
-                        return self.clock_s
-                    # off-state monitor: eats the trickle, clamps at zero
-                    ledger.add_harvest(h, 0.0)
-                    ledger.add_drawn(category, avail)
+                        h = p_in * tau
+                        u = e + h
+                        end = t1 = t + tau
+                        died = True
+                    else:
+                        # off-state monitor: eats the trickle, clamps at zero
+                        u = avail
                     e = 0.0
                 else:
-                    new_e = avail - u
-                    if new_e > cap:
-                        ledger.add_harvest(h, new_e - cap)
-                        new_e = cap
-                    else:
-                        ledger.add_harvest(h, 0.0)
-                    ledger.add_drawn(category, u)
-                    e = new_e
+                    e = avail - u
+                    if e > cap:
+                        w = e - cap
+                        e = cap
+                y = h - in_c
+                x = in_t + y
+                in_c = (x - in_t) - y
+                in_t = x
+                y = w - w_c
+                x = w_t + y
+                w_c = (x - w_t) - y
+                w_t = x
+                y = u - d_c
+                x = d_t + y
+                d_c = (x - d_t) - y
+                d_t = x
             t = end
             if t >= t1:
                 break
+        s_in.total, s_in.comp = in_t, in_c
+        s_waste.total, s_waste.comp = w_t, w_c
+        s_cat.total, s_cat.comp = d_t, d_c
         self.storage.e_cap = e
         self.clock_s = t1
-        return None
+        return t1 if died else None
 
-    def advance(self, t1: float, activity: Activity,
-                config: Optional[RadioConfig] = None) -> Optional[float]:
-        """Perform one activity until t1; returns the death time if the
-        storage empties before t1."""
-        p = self.load_power(activity, config)
-        die = activity is not Activity.BOOT_WAIT
-        return self.integrate(t1, p, ACTIVITY_CATEGORY[activity], die)
+    def advance(self, t1: float, load: tuple[float, str]) -> Optional[float]:
+        """Perform one continuous activity, given as (load power, ledger
+        category), until t1; returns the death time if the storage empties
+        before t1."""
+        return self.integrate(t1, load[0], load[1], True)
 
     def spend(self, activity: Activity) -> bool:
         """Draw one fixed-cost activity at the current instant."""
@@ -221,6 +221,14 @@ class NodeAccount:
     def drawn_snapshot(self) -> tuple[float, float, float]:
         led = self.ledger
         return (led.drawn("tx"), led.drawn("listen"), led.drawn("idle"))
+
+
+class _ChannelLoads(NamedTuple):
+    """(load power, ledger category) of listening and of transmitting on
+    one channel."""
+
+    listen: tuple[float, str]
+    tx: tuple[float, str]
 
 
 @dataclass(frozen=True)
@@ -340,7 +348,7 @@ class ProtocolRun:
                 raise ValueError(f"missing harvest trace for node {n}")
             self.accounts[n] = NodeAccount(
                 n, EnergyStorage(initial_charge_j, capacity_b=storage_b),
-                eparams, traces[n], self.power_table)
+                eparams, traces[n])
 
         self.sh_enabled = protocol in ("ewan", "single_hop")
         self.has_mh = protocol in ("ewan", "drb", "multi_hop")
@@ -353,6 +361,14 @@ class ProtocolRun:
         self.mh_layout = MhRoundLayout.build(params, self.cfg_mh)
         self.sh_layout = ShRoundLayout.build(params, self.cfg_sh)
         self.toa_sync = time_on_air(self.cfg_boot, SYNC_BYTES)
+
+        # loads of the continuous activities, resolved once per run
+        self.load_sleep = (eparams.p_sleep, "sleep")
+        self.load_idle = (eparams.p_idle, "idle")
+        self.load_boot, self.load_mh, self.load_sh = (
+            _ChannelLoads((self.power_table.rx_watts(c), "listen"),
+                          (self.power_table.tx_watts(c), "tx"))
+            for c in (self.cfg_boot, self.cfg_mh, self.cfg_sh))
 
         # reception probability of each node's direct host link, per channel
         self.p_boot_link = {
@@ -587,10 +603,9 @@ class ProtocolRun:
             self.sync_token[m] += 1
             acct = self.accounts[m]
             start = max(tm, acct.clock_s)
-            d = acct.advance(start, Activity.SLEEP)
+            d = acct.advance(start, self.load_sleep)
             if d is None:
-                d = acct.advance(start + self.toa_sync, Activity.TX,
-                                 self.cfg_boot)
+                d = acct.advance(start + self.toa_sync, self.load_boot.tx)
             if d is not None:
                 self._kill(m, d)
                 continue
@@ -622,8 +637,7 @@ class ProtocolRun:
         for m, tm in survivors:
             own_timeout = tm + self.toa_sync + SYNC_RESPONSE_DELAY_S + self.toa_sync
             listen_end = exchange_end if answered else own_timeout
-            d = self.accounts[m].advance(listen_end, Activity.LISTEN,
-                                         self.cfg_boot)
+            d = self.accounts[m].advance(listen_end, self.load_boot.listen)
             if d is not None:
                 self._kill(m, d)
                 continue
@@ -684,11 +698,10 @@ class ProtocolRun:
     # multi-hop rounds (shared by ewan, drb, multi_hop)
 
     def _gather(self, entries: Sequence[int], rs: float,
-                activity: Activity, config: Optional[RadioConfig]
-                ) -> list[int]:
+                load: tuple[float, str]) -> list[int]:
         alive = []
         for n in entries:
-            d = self.accounts[n].advance(rs, activity, config)
+            d = self.accounts[n].advance(rs, load)
             if d is not None:
                 self._kill(n, d)
             else:
@@ -698,20 +711,18 @@ class ProtocolRun:
     def _handle_mh_round(self, k: int, rs: float):
         params = self.params
         layout = self.mh_layout
-        cfg = self.cfg_mh
+        ld = self.load_mh
 
-        members = self._gather(sorted(self.members_mh), rs,
-                               Activity.SLEEP, None)
+        members = self._gather(sorted(self.members_mh), rs, self.load_sleep)
         boot_raw = self.wait_mh.pop(k, [])
         boot = [n for n, tok in boot_raw
                 if self.sync_token.get(n) == tok
                 and self.nstate[n].vsn is Vsn.BOOTSTRAPPING]
-        boot = self._gather(boot, rs, Activity.SLEEP, None)
+        boot = self._gather(boot, rs, self.load_sleep)
         samp = [n for n in sorted(self.samplers.pop(k, set()))
                 if self.nstate[n].vsn is Vsn.SINGLE_HOP]
-        samp = self._gather(samp, rs, Activity.SLEEP, None)
-        passive = self._gather(sorted(self.mhb_listeners), rs,
-                               Activity.LISTEN, cfg)
+        samp = self._gather(samp, rs, self.load_sleep)
+        passive = self._gather(sorted(self.mhb_listeners), rs, ld.listen)
 
         if self.protocol == "ewan":
             cross = params.sh_round_start(k)
@@ -842,11 +853,11 @@ class ProtocolRun:
             acct = self.accounts[n]
             li, tx, idl = costs[n]
             t0 = acct.clock_s
-            d = acct.advance(t0 + li, Activity.LISTEN, cfg)
+            d = acct.advance(t0 + li, ld.listen)
             if d is None and tx > 0:
-                d = acct.advance(acct.clock_s + tx, Activity.TX, cfg)
+                d = acct.advance(acct.clock_s + tx, ld.tx)
             if d is None and end_t > acct.clock_s + _EPS:
-                d = acct.advance(end_t, Activity.IDLE, None)
+                d = acct.advance(end_t, self.load_idle)
             costs[n] = [0.0, 0.0, 0.0]
             if d is not None:
                 self._kill(n, d)
@@ -919,7 +930,7 @@ class ProtocolRun:
             for n in list(R_alive):
                 flush(n, re)
         for n in passive_stay:
-            d = self.accounts[n].advance(re, Activity.LISTEN, cfg)
+            d = self.accounts[n].advance(re, ld.listen)
             if d is not None:
                 self._kill(n, d)
 
@@ -956,9 +967,9 @@ class ProtocolRun:
         params = self.params
         layout = self.sh_layout
         cfg = self.cfg_sh
+        ld = self.load_sh
 
-        members = self._gather(sorted(self.members_sh), rs,
-                               Activity.SLEEP, None)
+        members = self._gather(sorted(self.members_sh), rs, self.load_sleep)
         wait_raw = self.wait_sh.pop(k, [])
         waiters: list[tuple[int, str]] = []
         for n, reason, tok in wait_raw:
@@ -971,7 +982,7 @@ class ProtocolRun:
                 if st.vsn is Vsn.MULTI_HOP and st.missed_schedules >= params.p:
                     waiters.append((n, reason))
         alive_waiters = self._gather([n for n, _ in waiters], rs,
-                                     Activity.SLEEP, None)
+                                     self.load_sleep)
         waiters = [(n, r) for n, r in waiters if n in alive_waiters]
 
         cross = params.mh_round_start(k + 1)
@@ -1030,13 +1041,13 @@ class ProtocolRun:
         def flush(n: int, end_t: Optional[float]) -> bool:
             acct = self.accounts[n]
             li, tx, idl = costs[n]
-            d = acct.advance(acct.clock_s + li, Activity.LISTEN, cfg)
+            d = acct.advance(acct.clock_s + li, ld.listen)
             if d is None and tx > 0:
-                d = acct.advance(acct.clock_s + tx, Activity.TX, cfg)
+                d = acct.advance(acct.clock_s + tx, ld.tx)
             if d is None:
                 target = end_t if end_t is not None else acct.clock_s + idl
                 if target > acct.clock_s + _EPS:
-                    d = acct.advance(target, Activity.IDLE, None)
+                    d = acct.advance(target, self.load_idle)
             costs[n] = [0.0, 0.0, 0.0]
             if d is not None:
                 self._kill(n, d)
@@ -1174,9 +1185,9 @@ class ProtocolRun:
                 acct.integrate(horizon, self.eparams.p_boot, "boot", die=False)
                 return
             if node in self.mhb_listeners:
-                d = acct.advance(horizon, Activity.LISTEN, self.cfg_mh)
+                d = acct.advance(horizon, self.load_mh.listen)
             else:
-                d = acct.advance(horizon, Activity.SLEEP)
+                d = acct.advance(horizon, self.load_sleep)
             if d is None:
                 return
             self._kill(node, d)

@@ -664,7 +664,11 @@ def load_scenario(path: str) -> Scenario:
     if not os.path.exists(path):
         raise ScenarioError(f"no such scenario file: {path}")
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ScenarioError(
+                f"malformed scenario file {path}: {exc}") from exc
     base = os.path.dirname(path)
     try:
         n_nodes = int(doc["n_nodes"])

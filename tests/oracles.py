@@ -1,13 +1,21 @@
 """Independent oracles used by the test suite.
 
-Everything here is implemented directly from first principles (transceiver
-datasheet recipe, closed-form probability, textbook BFS) on purpose, without
-importing the package under test, so tests compare two independently written
-computations.
+Everything here except ``reference_flood`` is implemented directly from
+first principles (transceiver datasheet recipe, closed-form probability,
+textbook BFS) on purpose, without importing the package under test, so tests
+compare two independently written computations. The two exceptions are
+references that optimized kernels must match bit for bit:
+``reference_flood`` is the flood kernel's plain per-listener loop, which
+resolves every listener in every sub-slot through ``resolve_concurrent``,
+and ``reference_integrate`` is the energy kernel's segment walk booking
+every step through the ``EnergyLedger`` methods.
 """
 from __future__ import annotations
 
 import math
+
+from ewansim.flood import FLOOD_GUARD_S, FloodNodeResult, FloodResult
+from ewansim.radio import ConcurrentAttempt, resolve_concurrent, time_on_air
 
 
 def lora_toa_datasheet(
@@ -197,3 +205,125 @@ def brute_force_flood_slots(
                 got_at[v] = slot
                 budget[v] = retransmissions + 1
     return first_slot
+
+
+def reference_integrate(acct, t1, p_load, category, die):
+    """``NodeAccount.integrate`` on ``acct``, every compensated add made by
+    ``EnergyLedger.add_harvest`` then ``add_drawn``."""
+    t = acct.clock_s
+    if t1 <= t + 1e-9:
+        acct.clock_s = max(t, t1)
+        return None
+    p_draw = p_load / acct.params.buck_efficiency
+    e = acct.storage.e_cap
+    cap = acct.storage.capacity_b
+    res = acct.trace.resolution_s
+    samples = [float(x) for x in acct.trace.samples]
+    ceff = acct.params.charge_efficiency
+    ledger = acct.ledger
+    while True:
+        k = int(t / res)
+        seg_end = (k + 1) * res
+        end = t1 if t1 < seg_end else seg_end
+        dt = end - t
+        if dt > 0.0:
+            p_in = samples[k] * ceff if k < len(samples) else 0.0
+            h = p_in * dt
+            u = p_draw * dt
+            avail = e + h
+            if u >= avail and u > 0.0:
+                if die:
+                    denom = p_draw - p_in
+                    tau = e / denom if denom > 0.0 else dt
+                    if tau > dt:
+                        tau = dt
+                    h_partial = p_in * tau
+                    ledger.add_harvest(h_partial, 0.0)
+                    ledger.add_drawn(category, e + h_partial)
+                    acct.storage.e_cap = 0.0
+                    acct.clock_s = t + tau
+                    return acct.clock_s
+                ledger.add_harvest(h, 0.0)
+                ledger.add_drawn(category, avail)
+                e = 0.0
+            else:
+                new_e = avail - u
+                if new_e > cap:
+                    ledger.add_harvest(h, new_e - cap)
+                    new_e = cap
+                else:
+                    ledger.add_harvest(h, 0.0)
+                ledger.add_drawn(category, u)
+                e = new_e
+        t = end
+        if t >= t1:
+            break
+    acct.storage.e_cap = e
+    acct.clock_s = t1
+    return None
+
+
+def reference_flood(holders, payload_bytes, participants, links, config,
+                    hops, retransmissions, stream, ramp_width_db,
+                    capture_sigma_db):
+    """Flood with ``holders`` (node -> packet id) injecting at sub-slot 0,
+    every listener of every sub-slot resolved by ``resolve_concurrent``."""
+    toa = time_on_air(config, payload_bytes)
+    slot_s = toa + FLOOD_GUARD_S
+    n_slots = hops + retransmissions
+    budget = retransmissions + 1
+
+    packet = {node: None for node in participants}
+    first_slot = {node: None for node in participants}
+    tx_left = {node: 0 for node in participants}
+    tx_count = {node: 0 for node in participants}
+    on_slots = {node: 0 for node in participants}
+    for node, pkt in holders.items():
+        packet[node] = pkt
+        first_slot[node] = 0
+        tx_left[node] = budget
+
+    order = sorted(participants)
+    for slot in range(1, n_slots + 1):
+        transmitters = [
+            u for u in order
+            if packet[u] is not None and tx_left[u] > 0 and first_slot[u] < slot
+        ]
+        for u in transmitters:
+            tx_left[u] -= 1
+            tx_count[u] += 1
+            on_slots[u] += 1
+        for v in order:
+            if packet[v] is not None:
+                continue
+            on_slots[v] += 1
+            if not transmitters:
+                continue
+            attempts = [
+                ConcurrentAttempt(
+                    packet_id=packet[u],
+                    sender=u,
+                    rx_power_dbm=config.tx_power_dbm - links.loss_db(u, v),
+                )
+                for u in transmitters
+            ]
+            won = resolve_concurrent(
+                attempts, config.sensitivity_dbm, ramp_width_db,
+                capture_sigma_db, stream,
+            )
+            if won is not None:
+                packet[v] = won
+                first_slot[v] = slot
+                tx_left[v] = budget
+
+    nodes = {
+        node: FloodNodeResult(
+            received=packet[node] is not None,
+            packet_id=packet[node],
+            first_slot=first_slot[node],
+            radio_on_s=on_slots[node] * slot_s,
+            tx_count=tx_count[node],
+        )
+        for node in participants
+    }
+    return FloodResult(nodes=nodes, n_slots=n_slots, toa_s=toa, slot_s=slot_s)

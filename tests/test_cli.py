@@ -141,3 +141,12 @@ class TestVerifyCommand:
         code = main(["verify", "--scenario", path])
         assert code == 1
         assert "long-range host link" in capsys.readouterr().err
+
+    def test_yaml_syntax_error_is_an_error_line(self, tmp_path, capsys):
+        os.makedirs(tmp_path / "sc")
+        (tmp_path / "sc" / "scenario.yaml").write_text("kind: [unclosed\n")
+        code = main(["verify", "--scenario", str(tmp_path / "sc")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err

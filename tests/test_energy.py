@@ -22,7 +22,10 @@ from ewansim.energy import (
     reactive_decision,
     step_storage,
 )
+from ewansim.protocol.run import NodeAccount
 from ewansim.radio import RadioConfig, RadioPowerTable
+
+import oracles
 
 PARAMS = EnergyParams()
 TABLE = RadioPowerTable()
@@ -274,3 +277,36 @@ class TestParamValidation:
             EnergyStorage(e_cap=0.8, capacity_b=0.7)
         with pytest.raises(ValueError):
             EnergyStorage(e_cap=-0.1)
+
+
+def _ledger_state(acct):
+    led = acct.ledger
+    sums = [led._e_in, led._e_wasted, *led._cats.values()]
+    return ([(k.total, k.comp) for k in sums], acct.storage.e_cap,
+            acct.clock_s)
+
+
+class TestNodeAccountKernel:
+    @given(
+        samples=st.lists(st.sampled_from([0.0, 1e-5, 3e-4, 2e-3, 5e-2]),
+                         min_size=1, max_size=12),
+        e0=st.floats(min_value=0.0, max_value=0.1),
+        steps=st.lists(st.tuples(
+            st.floats(min_value=0.0, max_value=150.0),
+            st.sampled_from([0.0, 2.7e-5, 1.05e-2, 0.09]),
+            st.sampled_from(["tx", "listen", "idle", "sleep", "boot"]),
+            st.booleans(),
+        ), max_size=25),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_ledger_method_walk_bit_for_bit(self, samples, e0,
+                                                        steps):
+        trace = HarvestTrace(samples, 60.0)
+        kernel, ref = (NodeAccount(1, EnergyStorage(e0, capacity_b=0.1),
+                                   PARAMS, trace) for _ in range(2))
+        for gap, p_load, category, die in steps:
+            t1 = kernel.clock_s + gap
+            got = kernel.integrate(t1, p_load, category, die)
+            want = oracles.reference_integrate(ref, t1, p_load, category, die)
+            assert got == want
+            assert _ledger_state(kernel) == _ledger_state(ref)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewansim.engine import RandomStreams
 from ewansim.flood import (
@@ -10,7 +12,13 @@ from ewansim.flood import (
     simulate_flood,
 )
 from ewansim.links import LinkMatrix
-from ewansim.radio import RadioConfig, time_on_air
+from ewansim.radio import (
+    DEFAULT_CAPTURE_SIGMA_DB,
+    DEFAULT_RAMP_DB,
+    RadioConfig,
+    reception_probability,
+    time_on_air,
+)
 
 import oracles
 
@@ -38,6 +46,47 @@ def matrix_from_edges(n: int, edges: set[frozenset[int]]) -> LinkMatrix:
 
 def stream(seed=1):
     return RandomStreams(seed).stream("reception")
+
+
+def ramp_matrix(n: int, seed: int) -> LinkMatrix:
+    """Symmetric losses straddling the reception ramp of CFG."""
+    loss = np.random.default_rng(seed).uniform(115.0, 122.0, size=(n, n))
+    loss = (loss + loss.T) / 2
+    np.fill_diagonal(loss, 0.0)
+    return LinkMatrix(n=n, loss=loss)
+
+
+# CFG hears a lone packet with certainty up to 116 dB of loss, with
+# probability falling linearly to 0 at 118 dB, and never beyond
+LOSS_DB = st.one_of(
+    st.floats(30.0, 116.0),
+    st.sampled_from([116.0, 117.0, 118.0]),
+    st.floats(116.0, 118.0),
+    st.floats(118.0, 200.0, exclude_min=True),
+)
+
+
+@st.composite
+def flood_cases(draw):
+    n = draw(st.integers(2, 10))
+    loss = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            loss[i, j] = loss[j, i] = draw(LOSS_DB)
+    participants = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    initiators = draw(st.lists(st.sampled_from(sorted(participants)),
+                               min_size=1, max_size=3, unique=True))
+    # few packet ids, so multi-initiator floods also share payloads
+    packets = draw(st.lists(st.integers(0, 2), min_size=len(initiators),
+                            max_size=len(initiators)))
+    return dict(
+        links=LinkMatrix(n=n, loss=loss),
+        participants=participants,
+        holders=dict(zip(initiators, packets)),
+        hops=draw(st.integers(1, 6)),
+        retx=draw(st.integers(0, 3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
 
 
 class TestSingleInitiator:
@@ -168,3 +217,66 @@ class TestContention:
             simulate_contention_flood({}, 4, {0, 1}, links, CFG, 6, 2, stream())
         with pytest.raises(ValueError):
             simulate_contention_flood({9: 9}, 4, {0, 1}, links, CFG, 6, 2, stream())
+
+
+class TestKernelMatchesReference:
+    @given(case=flood_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_result_and_stream_state_match_the_per_listener_loop(self, case):
+        links, participants = case["links"], case["participants"]
+        holders, hops, retx = case["holders"], case["hops"], case["retx"]
+        g_kernel, g_ref = stream(case["seed"]), stream(case["seed"])
+        if len(holders) == 1:
+            (initiator,) = holders
+            holders = {initiator: initiator}
+            got = simulate_flood(initiator, 20, set(participants), links, CFG,
+                                 hops, retx, g_kernel)
+        else:
+            got = simulate_contention_flood(holders, 20, set(participants),
+                                            links, CFG, hops, retx, g_kernel)
+        want = oracles.reference_flood(
+            holders, 20, participants, links, CFG, hops, retx, g_ref,
+            DEFAULT_RAMP_DB, DEFAULT_CAPTURE_SIGMA_DB)
+        assert got == want
+        assert g_kernel.bit_generator.state == g_ref.bit_generator.state
+
+
+class TestReceptionTable:
+    def test_entries_are_the_lone_packet_probabilities(self):
+        links = ramp_matrix(7, seed=3)
+        table = links.reception_table(CFG, DEFAULT_RAMP_DB)
+        for u in range(links.n):
+            for v in range(links.n):
+                rx = CFG.tx_power_dbm - links.loss_db(u, v)
+                want = reception_probability(rx, CFG.sensitivity_dbm,
+                                             DEFAULT_RAMP_DB)
+                assert table[u][v] == want
+                assert table[u][v] == links.link_probability(
+                    u, v, CFG, DEFAULT_RAMP_DB)
+                assert table[u][v] == table[v][u]
+        assert any(0.0 < p < 1.0 for row in table for p in row)
+
+    def test_table_is_cached_per_config_and_ramp(self):
+        links = ramp_matrix(4, seed=5)
+        table = links.reception_table(CFG, DEFAULT_RAMP_DB)
+        assert links.reception_table(CFG, DEFAULT_RAMP_DB) is table
+        assert links.reception_table(CFG, 3.0) is not table
+        assert "_tables" not in repr(links)
+        # the losses behind a cached table cannot change
+        with pytest.raises(ValueError):
+            links.loss[0, 1] = 1.0
+
+    @pytest.mark.parametrize("links, expected", [
+        (matrix_from_edges(5, {frozenset((i, i + 1)) for i in range(4)}),
+         True),
+        (ramp_matrix(6, seed=9), False),
+    ])
+    def test_all_links_deterministic_agrees_with_pairwise_check(
+            self, links, expected):
+        pairwise = not any(
+            0.0 < reception_probability(
+                CFG.tx_power_dbm - links.loss_db(a, b), CFG.sensitivity_dbm,
+                DEFAULT_RAMP_DB) < 1.0
+            for a in range(links.n) for b in range(a + 1, links.n))
+        assert pairwise is expected
+        assert links.all_links_deterministic(range(links.n), CFG) is expected
