@@ -8,15 +8,31 @@ listens, and concurrent copies of the same payload combine constructively
 at the receiver. Contention floods follow identical slot mechanics but
 start from several initiators carrying distinct payloads, so capture
 decides which packet, if any, each listener ends up with.
+
+The kernel runs wave by wave. Wave ``s`` is the set of nodes that first
+hold the packet in sub-slot ``s`` (wave 0 are the initiators). A holder
+transmits in the ``retransmissions + 1`` sub-slots after its own, so the
+transmitters of sub-slot ``s`` are exactly waves ``s - retransmissions - 1``
+to ``s - 1``, and a node of wave ``s`` transmits
+``min(retransmissions + 1, n_slots - s)`` times. The flood stops as soon
+as no listener is left or the transmit window is empty, and also after a
+one-payload sub-slot that reaches no listener: no wave formed, so every
+later window is a subset of that one and can reach no listener either.
+
+In a one-payload sub-slot each listener receives with the best lone-packet
+probability among the transmitters that reach it, drawing only when that
+probability is strictly between 0 and 1, in ascending node order. Node sets
+are bitmasks (bit ``j`` for node ``j``) over the link matrix's cached
+``reach_masks``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .links import LinkMatrix
+from .links import LinkMatrix, mask_nodes, node_mask
 from .radio import (
     DEFAULT_CAPTURE_SIGMA_DB,
     DEFAULT_RAMP_DB,
@@ -30,8 +46,7 @@ from .radio import (
 FLOOD_GUARD_S = 0.0005
 
 
-@dataclass(frozen=True)
-class FloodNodeResult:
+class FloodNodeResult(NamedTuple):
     received: bool
     packet_id: Optional[int]
     first_slot: Optional[int]  # 1-based sub-slot of first reception, 0 = initiator
@@ -45,10 +60,32 @@ class FloodResult:
     n_slots: int
     toa_s: float
     slot_s: float
+    # (span, toa) -> per-node radio time split, see radio_times
+    _times: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def duration_s(self) -> float:
         return self.n_slots * self.slot_s
+
+    def radio_times(self, span: float,
+                    toa: float) -> dict[int, tuple[float, float, float]]:
+        """node -> (listen s, transmit s, idle s) within a slot of ``span``
+        seconds carrying this flood of ``toa``-second packets; computed
+        once per (span, toa), so a memoized flood reuses it."""
+        key = (span, toa)
+        times = self._times.get(key)
+        if times is None:
+            times = self._times[key] = {}
+            split: dict[FloodNodeResult, tuple[float, float, float]] = {}
+            for node, r in self.nodes.items():
+                t = split.get(r)
+                if t is None:
+                    tx_s = r.tx_count * toa
+                    t = split[r] = (r.radio_on_s - tx_s, tx_s,
+                                    span - r.radio_on_s)
+                times[node] = t
+        return times
 
 
 def simulate_flood(
@@ -143,74 +180,108 @@ def _run_flood(
     n_slots = hops + retransmissions
     budget = retransmissions + 1
 
-    packet: dict[int, Optional[int]] = {node: None for node in participants}
-    first_slot: dict[int, Optional[int]] = {node: None for node in participants}
-    tx_left: dict[int, int] = {node: 0 for node in participants}
-    tx_count: dict[int, int] = {node: 0 for node in participants}
+    reach, sure, heard, p_to = links.reach_masks(config, ramp_width_db)
 
-    for node, pkt in holders.items():
-        packet[node] = pkt
-        first_slot[node] = 0
-        tx_left[node] = budget
-
-    table = links.reception_table(config, ramp_width_db)
-    order = sorted(participants)
-    for slot in range(1, n_slots + 1):
-        transmitters = [
-            u for u in order
-            if packet[u] is not None and tx_left[u] > 0 and first_slot[u] < slot
-        ]
-        for u in transmitters:
-            tx_left[u] -= 1
-            tx_count[u] += 1
-        if not transmitters:
-            continue
-        listeners = [v for v in order if packet[v] is None]
-        heard: list[tuple[int, int]] = []
-        sent = {packet[u] for u in transmitters}
+    packet = dict(holders)
+    payloads = set(holders.values())
+    listening = node_mask(participants)
+    # per wave: its nodes in id order, and as bitmasks the wave itself, the
+    # nodes its members reach, and the nodes they reach with certainty
+    waves: list[list[int]] = []
+    fronts: list[tuple[int, int, int]] = []
+    wave, got = sorted(holders), node_mask(holders)
+    slot = 0
+    while True:
+        listening &= ~got
+        r = s = 0
+        for u in wave:
+            r |= reach[u]
+            s |= sure[u]
+        waves.append(wave)
+        fronts.append((got, r, s))
+        slot += 1
+        if slot > n_slots or not listening:
+            break
+        lo = slot - budget if slot > budget else 0
+        if len(payloads) > 1:
+            transmitters = sorted(u for w in waves[lo:slot] for u in w)
+            if not transmitters:
+                break  # every later window is empty too
+            sent = {packet[u] for u in transmitters}
+        else:
+            sent = payloads
         if len(sent) == 1:
             # One payload: resolve_concurrent's single-group case. Its
             # candidate is the strongest copy and the ramp is monotone, so
             # the candidate's probability is the best link's; the draws are
             # the same, in the same order.
+            tx = r = s = 0
+            for bits, wave_r, wave_s in fronts[lo:slot]:
+                tx |= bits
+                r |= wave_r
+                s |= wave_s
+            reached = listening & r
+            if not reached:
+                break  # later windows are subsets of this one
+            got = reached & s
+            unsure = reached & ~s
+            if unsure:
+                # one batched call gives the doubles, and leaves the
+                # generator state, of k scalar calls in ascending node order
+                k = unsure.bit_count()
+                draws = iter(stream.random(k).tolist() if k > 1
+                             else (stream.random(),))
+                while unsure:
+                    bit = unsure & -unsure  # the lowest node left
+                    unsure ^= bit
+                    v = bit.bit_length() - 1
+                    # the best p over the transmitters that reach v
+                    p_from = p_to[v]
+                    p = 0.0
+                    senders = tx & heard[v]
+                    while senders:
+                        low = senders & -senders
+                        senders ^= low
+                        q = p_from[low.bit_length() - 1]
+                        if q > p:
+                            p = q
+                    if next(draws) < p:
+                        got |= bit
+            wave = mask_nodes(got)
             (pkt,) = sent
-            best = list(map(max, zip(*[table[u] for u in transmitters])))
-            for v in listeners:
-                p = best[v]
-                if p >= 1.0 or (p > 0.0 and stream.random() < p):
-                    heard.append((v, pkt))
+            for v in wave:
+                packet[v] = pkt
         else:
-            for v in listeners:
-                attempts = [
-                    ConcurrentAttempt(
-                        packet_id=packet[u],
-                        sender=u,
-                        rx_power_dbm=config.tx_power_dbm - links.loss_db(u, v),
-                    )
-                    for u in transmitters
-                ]
+            rows = links.loss_rows
+            tx_power = config.tx_power_dbm
+            signals = [(packet[u], u, rows[u]) for u in transmitters]
+            wave = []
+            for v in mask_nodes(listening):
                 won = resolve_concurrent(
-                    attempts, config.sensitivity_dbm, ramp_width_db,
-                    capture_sigma_db, stream,
+                    [ConcurrentAttempt(pkt, u, tx_power - row[v])
+                     for pkt, u, row in signals],
+                    config.sensitivity_dbm, ramp_width_db, capture_sigma_db,
+                    stream,
                 )
                 if won is not None:
-                    heard.append((v, won))
-        for v, pkt in heard:
-            packet[v] = pkt
-            first_slot[v] = slot
-            tx_left[v] = budget
+                    packet[v] = won
+                    wave.append(v)
+            got = node_mask(wave)
 
     # a node listens in every sub-slot up to and including the one it first
-    # receives in, transmits in tx_count more, and keeps its radio off after
-    nodes = {
-        node: FloodNodeResult(
-            received=packet[node] is not None,
-            packet_id=packet[node],
-            first_slot=first_slot[node],
-            radio_on_s=((n_slots if packet[node] is None else first_slot[node])
-                        + tx_count[node]) * slot_s,
-            tx_count=tx_count[node],
-        )
-        for node in participants
-    }
+    # receives in, transmits in the window after it, and keeps its radio off
+    # after; the nodes of one wave holding one packet share one record
+    nodes = dict.fromkeys(
+        participants, FloodNodeResult(False, None, None, n_slots * slot_s, 0))
+    for first, wave in enumerate(waves):
+        tx_count = min(budget, n_slots - first)
+        radio_on_s = (first + tx_count) * slot_s
+        shared: dict[int, FloodNodeResult] = {}
+        for v in wave:
+            pkt = packet[v]
+            rec = shared.get(pkt)
+            if rec is None:
+                rec = shared[pkt] = FloodNodeResult(
+                    True, pkt, first, radio_on_s, tx_count)
+            nodes[v] = rec
     return FloodResult(nodes=nodes, n_slots=n_slots, toa_s=toa, slot_s=slot_s)

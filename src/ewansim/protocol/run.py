@@ -103,7 +103,7 @@ class NodeAccount:
         self.clock_s = 0.0
         self._res = trace.resolution_s
         # plain list: scalar indexing in the integrate loop is pure python
-        self._samples = [float(x) for x in trace.samples]
+        self._samples = trace.samples.tolist()
         self._n = len(self._samples)
         self._ceff = params.charge_efficiency
         self._eff = params.buck_efficiency
@@ -246,9 +246,13 @@ class RunHooks:
         default_factory=dict)
 
     def mh_blocked(self, node: int, k: int) -> bool:
+        if not self.blocked_multi_hop:
+            return False
         return any(a <= k < b for a, b in self.blocked_multi_hop.get(node, ()))
 
     def sh_blocked(self, node: int, k: int) -> bool:
+        if not self.blocked_single_hop:
+            return False
         return any(a <= k < b
                    for a, b in self.blocked_single_hop.get(node, ()))
 
@@ -762,16 +766,13 @@ class ProtocolRun:
 
         def add_flood_costs(res: FloodResult, span: float, toa: float,
                             group: Sequence[int]):
+            times = res.radio_times(span, toa)
             for n in group:
-                r = res.nodes.get(n)
-                if r is None:
-                    costs[n][0] += res.duration_s
-                    costs[n][2] += span - res.duration_s
-                    continue
-                tx_s = r.tx_count * toa
-                costs[n][0] += r.radio_on_s - tx_s
-                costs[n][1] += tx_s
-                costs[n][2] += span - r.radio_on_s
+                li, tx, idl = times[n]
+                c = costs[n]
+                c[0] += li
+                c[1] += tx
+                c[2] += idl
 
         # roles after the first schedule
         R: list[int] = []

@@ -8,7 +8,7 @@ charging, and bootstrapping.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class Vsn(enum.Enum):
@@ -35,6 +35,12 @@ class NodeState:
     missed_schedules: int = 0
     has_slot: bool = False
     demand: int = 1  # requested packets per round
+
+
+def _with_missed(state: NodeState, missed: int) -> NodeState:
+    if missed == state.missed_schedules:
+        return state
+    return NodeState(state.vsn, missed, state.has_slot, state.demand)
 
 
 class TransitionError(Exception):
@@ -72,19 +78,19 @@ def node_transition(state: NodeState, event: TransitionEvent, p: int,
                 return NodeState(vsn=Vsn.BOOTSTRAPPING, demand=state.demand)
             # at missed == p the node is about to attempt the single-hop
             # schedule slot; the attempt outcome arrives as a later event
-            return replace(state, missed_schedules=missed)
+            return _with_missed(state, missed)
         if v is Vsn.SINGLE_HOP:
             missed = state.missed_schedules + 1
             if missed >= p:
                 return NodeState(vsn=Vsn.BOOTSTRAPPING, demand=state.demand)
-            return replace(state, missed_schedules=missed)
+            return _with_missed(state, missed)
         if v is Vsn.BOOTSTRAPPING:
             return state  # failed bootstrap listen: stay, retry later
         raise TransitionError(f"missed_schedule while {v.value}")
 
     if event is TransitionEvent.RECEIVED_MH_SCHEDULE:
         if v is Vsn.MULTI_HOP:
-            return replace(state, missed_schedules=0)
+            return _with_missed(state, 0)
         if v is Vsn.BOOTSTRAPPING:
             return NodeState(vsn=Vsn.MULTI_HOP, demand=state.demand)
         raise TransitionError(f"received_mh_schedule while {v.value}")
@@ -93,7 +99,7 @@ def node_transition(state: NodeState, event: TransitionEvent, p: int,
         if not single_hop_enabled:
             raise TransitionError("single-hop VSN disabled")
         if v is Vsn.SINGLE_HOP:
-            return replace(state, missed_schedules=0)
+            return _with_missed(state, 0)
         if v is Vsn.BOOTSTRAPPING:
             return NodeState(vsn=Vsn.SINGLE_HOP, demand=state.demand)
         if v is Vsn.MULTI_HOP and state.missed_schedules >= p:

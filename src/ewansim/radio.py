@@ -9,8 +9,8 @@ and ratios, not on absolute dBm or milliwatts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -166,8 +166,7 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw)
 
 
-@dataclass(frozen=True)
-class ConcurrentAttempt:
+class ConcurrentAttempt(NamedTuple):
     """One transmission as seen by a listener during an overlap."""
 
     packet_id: int

@@ -646,8 +646,16 @@ def _read_trace_csv(path: str) -> HarvestTrace:
         if header != ["time_s", "power_w"]:
             raise ScenarioError(f"{path}: expected header time_s,power_w")
         for row in reader:
-            times.append(float(row[0]))
-            values.append(float(row[1]))
+            if len(row) != 2:
+                raise ScenarioError(
+                    f"{path}: line {reader.line_num}: expected two fields "
+                    f"time_s,power_w, got {len(row)}")
+            try:
+                times.append(float(row[0]))
+                values.append(float(row[1]))
+            except ValueError as exc:
+                raise ScenarioError(
+                    f"{path}: line {reader.line_num}: {exc}") from exc
     if len(times) < 2:
         raise ScenarioError(f"{path}: a trace needs at least two samples")
     res = times[1] - times[0]

@@ -48,6 +48,8 @@ from ewansim.scenario import (
     save_scenario,
 )
 
+pytestmark = pytest.mark.acceptance
+
 PERIOD = 300.0
 RUNS = 20
 CAMPAIGN_SEED = 7

@@ -150,3 +150,30 @@ class TestVerifyCommand:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    # (row, line it replaces); line None appends it, so "" is a blank
+    # trailing line
+    @pytest.mark.parametrize("row, line", [
+        ("120.0", 5),
+        ("360.0,dark", 7),
+        ("", None),
+    ])
+    def test_malformed_trace_row_is_an_error_line(self, tmp_path, capsys,
+                                                  row, line):
+        gen(tmp_path, "fixed", "--kind", "fh", "--days", "2",
+            "--fixed-traces")
+        trace = tmp_path / "fixed" / "traces" / "node01.csv"
+        rows = trace.read_text().splitlines()
+        if line is None:
+            rows.append(row)
+            line = len(rows)
+        else:
+            rows[line - 1] = row
+        trace.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        code = main(["verify", "--scenario", str(tmp_path / "fixed")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert f"node01.csv: line {line}:" in err

@@ -66,25 +66,57 @@ LOSS_DB = st.one_of(
 )
 
 
+# "any": free draws; "in_range_excluded": a node an initiator reaches sits
+# out the flood; "retx_at_least_hops": the transmit window outlasts the
+# hops; "unreached_listener": distinct payloads contend while one listener
+# hears no participant at all
+SHAPES = ("any", "in_range_excluded", "retx_at_least_hops",
+          "unreached_listener")
+
+
 @st.composite
 def flood_cases(draw):
-    n = draw(st.integers(2, 10))
+    shape = draw(st.sampled_from(SHAPES))
+    n = draw(st.integers(3 if shape == "unreached_listener" else 2, 10))
     loss = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             loss[i, j] = loss[j, i] = draw(LOSS_DB)
-    participants = draw(st.sets(st.integers(0, n - 1), min_size=1))
-    initiators = draw(st.lists(st.sampled_from(sorted(participants)),
-                               min_size=1, max_size=3, unique=True))
-    # few packet ids, so multi-initiator floods also share payloads
-    packets = draw(st.lists(st.integers(0, 2), min_size=len(initiators),
-                            max_size=len(initiators)))
+    hops = draw(st.integers(1, 6))
+    if shape == "retx_at_least_hops":
+        retx = draw(st.integers(hops, hops + 3))
+    else:
+        retx = draw(st.integers(0, 3))
+    if shape == "unreached_listener":
+        lone = draw(st.integers(0, n - 1))
+        others = [v for v in range(n) if v != lone]
+        for v in others:
+            loss[lone, v] = loss[v, lone] = draw(
+                st.floats(118.0, 200.0, exclude_min=True))
+        initiators = draw(st.lists(st.sampled_from(others), min_size=2,
+                                   max_size=3, unique=True))
+        packets = list(range(len(initiators)))
+        participants = ({lone} | set(initiators)
+                        | draw(st.sets(st.sampled_from(others))))
+    else:
+        participants = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        initiators = draw(st.lists(st.sampled_from(sorted(participants)),
+                                   min_size=1, max_size=3, unique=True))
+        # few packet ids, so multi-initiator floods also share payloads
+        packets = draw(st.lists(st.integers(0, 2), min_size=len(initiators),
+                                max_size=len(initiators)))
+        outside = [v for v in range(n) if v not in initiators]
+        if shape == "in_range_excluded" and outside:
+            near = draw(st.sampled_from(outside))
+            loss[initiators[0], near] = loss[near, initiators[0]] = draw(
+                st.floats(30.0, 117.5))
+            participants.discard(near)
     return dict(
         links=LinkMatrix(n=n, loss=loss),
         participants=participants,
         holders=dict(zip(initiators, packets)),
-        hops=draw(st.integers(1, 6)),
-        retx=draw(st.integers(0, 3)),
+        hops=hops,
+        retx=retx,
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -178,6 +210,20 @@ class TestSingleInitiator:
         b = simulate_flood(0, 20, set(range(n)), links, CFG, 6, 2, stream(999))
         assert a == b
 
+    def test_radio_times_split_each_slot_and_are_kept(self):
+        links = ramp_matrix(6, seed=2)
+        res = simulate_flood(0, 20, set(range(6)), links, CFG, 4, 2,
+                             stream(5))
+        span = res.duration_s + 0.01
+        times = res.radio_times(span, res.toa_s)
+        assert res.radio_times(span, res.toa_s) is times
+        assert set(times) == set(res.nodes)
+        for node, (listen, tx, idle) in times.items():
+            r = res.nodes[node]
+            assert tx == r.tx_count * res.toa_s
+            assert listen == r.radio_on_s - tx
+            assert idle == span - r.radio_on_s
+
     def test_initiator_must_participate(self):
         links = matrix_from_edges(2, {frozenset((0, 1))})
         with pytest.raises(ValueError):
@@ -239,6 +285,12 @@ class TestKernelMatchesReference:
             DEFAULT_RAMP_DB, DEFAULT_CAPTURE_SIGMA_DB)
         assert got == want
         assert g_kernel.bit_generator.state == g_ref.bit_generator.state
+        assert set(got.nodes) == participants
+        for r in got.nodes.values():
+            if r.received:
+                assert r.tx_count == min(retx + 1, hops + retx - r.first_slot)
+            else:
+                assert r.tx_count == 0
 
 
 class TestReceptionTable:
@@ -265,6 +317,21 @@ class TestReceptionTable:
         # the losses behind a cached table cannot change
         with pytest.raises(ValueError):
             links.loss[0, 1] = 1.0
+
+    def test_reach_masks_are_the_table_as_bitmasks(self):
+        links = ramp_matrix(7, seed=4)
+        table = links.reception_table(CFG, DEFAULT_RAMP_DB)
+        masks = links.reach_masks(CFG, DEFAULT_RAMP_DB)
+        assert links.reach_masks(CFG, DEFAULT_RAMP_DB) is masks
+        for u in range(links.n):
+            for v in range(links.n):
+                bit = 1 << v
+                assert bool(masks.reach[u] & bit) == (table[u][v] > 0.0)
+                assert bool(masks.sure[u] & bit) == (table[u][v] >= 1.0)
+                assert bool(masks.heard[v] & (1 << u)) == (table[u][v] > 0.0)
+                assert masks.p_to[v][u] == table[u][v]
+        assert any(0 < masks.reach[u].bit_count() < links.n
+                   for u in range(links.n))
 
     @pytest.mark.parametrize("links, expected", [
         (matrix_from_edges(5, {frozenset((i, i + 1)) for i in range(4)}),
