@@ -15,8 +15,7 @@ from .metrics import (compute_all_metrics, write_events_log, write_metrics_csv,
                       write_rounds_csv)
 from .protocol.run import PROTOCOLS, simulate_run
 from .scenario import (ScenarioError, TOPOLOGY_KINDS, build_scenario,
-                       case_study_scenario, load_scenario, save_scenario,
-                       verify_scenario)
+                       case_study_scenario, load_scenario, save_scenario)
 
 OUT_ENV = "EWANSIM_OUT"
 

@@ -4,8 +4,12 @@ A node stores energy in a supercapacitor with usable capacity B, harvests
 according to a per-node power trace, and spends through a buck converter
 whose efficiency divides every load-side joule. A reactive energy manager
 keeps the node off until stored energy surpasses a start threshold,
-sampling the storage voltage on a fixed interval while off, and powers the
-node off again when storage empties.
+sampling the storage on a fixed interval while off, and powers the node
+off again when storage empties.
+
+NodeAccount is the one energy model the simulator runs: it integrates a
+node's harvest trace against its activity and books every joule in the
+node's EnergyLedger.
 """
 from __future__ import annotations
 
@@ -16,21 +20,12 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import SimulationError
 from .radio import RadioConfig, RadioPowerTable
 
-
-def step_storage(e_cap: float, e_harv: float, e_used: float,
-                 capacity_b: float) -> float:
-    """One storage update: charge, discharge, clamp to [0, B]."""
-    if e_harv < 0 or e_used < 0:
-        raise ValueError("harvested and used energy must be >= 0")
-    return max(min(e_cap + e_harv - e_used, capacity_b), 0.0)
-
-
-def energy_from_voltage(capacitance_c: float, v: float) -> float:
-    if v < 0:
-        raise ValueError("voltage must be >= 0")
-    return 0.5 * capacitance_c * v * v
+# clock slack: an advance to within this many seconds of the clock books
+# nothing
+CLOCK_EPS_S = 1e-9
 
 
 @dataclass
@@ -39,15 +34,10 @@ class EnergyStorage:
 
     e_cap: float
     capacity_b: float = 0.7
-    capacitance_c: float = 0.35
 
     def __post_init__(self):
         if not 0.0 <= self.e_cap <= self.capacity_b:
             raise ValueError("e_cap must lie in [0, capacity_b]")
-
-    @property
-    def voltage(self) -> float:
-        return math.sqrt(2.0 * self.e_cap / self.capacitance_c)
 
 
 @dataclass(frozen=True)
@@ -91,49 +81,14 @@ class HarvestTrace:
         arr = np.asarray(samples, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("trace needs a one-dimensional sample array")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("harvested power samples must be finite")
         if np.any(arr < 0):
             raise ValueError("harvested power must be >= 0")
-        if resolution_s <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < resolution_s < math.inf:
+            raise ValueError("resolution must be finite and positive")
         self.samples = arr
         self.resolution_s = float(resolution_s)
-        # cumulative joules up to each sample boundary, for O(1) integrals
-        self._cum_j = np.concatenate(
-            ([0.0], np.cumsum(arr) * self.resolution_s)
-        )
-
-    @property
-    def span_s(self) -> float:
-        return self.samples.size * self.resolution_s
-
-    def _integral_to(self, t: float) -> float:
-        k = int(t // self.resolution_s)
-        k = min(k, self.samples.size)  # t == span lands on the last boundary
-        partial = t - k * self.resolution_s
-        base = self._cum_j[k]
-        if partial > 0:
-            base += self.samples[k] * partial
-        return float(base)
-
-    def energy_between(self, t0: float, t1: float) -> float:
-        if t0 > t1:
-            raise ValueError("t0 must not exceed t1")
-        if t0 < 0 or t1 > self.span_s + 1e-9:
-            raise ValueError("query outside trace span")
-        return self._integral_to(min(t1, self.span_s)) - self._integral_to(t0)
-
-    def interval_energies(self, step_s: float) -> np.ndarray:
-        """Joules harvested in each consecutive step over the whole span."""
-        n = int(math.ceil(self.span_s / step_s))
-        bounds = np.minimum(np.arange(n + 1) * step_s, self.span_s)
-        vals = np.array([self._integral_to(t) for t in bounds])
-        return np.diff(vals)
-
-
-def harvest_energy(trace: HarvestTrace, t0: float, t1: float,
-                   charge_efficiency: float) -> float:
-    """Harvested joules delivered to storage over [t0, t1]."""
-    return charge_efficiency * trace.energy_between(t0, t1)
 
 
 class Activity(enum.Enum):
@@ -278,36 +233,141 @@ def consume(
     return False
 
 
-def apply_harvest(ledger: EnergyLedger, storage: EnergyStorage,
-                  delivered: float) -> float:
-    """Credit harvested joules to storage, overflow going to waste.
+class NodeAccount:
+    """Energy state of one node: storage, harvest trace, ledger, clock.
 
-    Returns the wasted portion.
+    The clock tracks the last instant energy was accounted for; every
+    advance integrates harvested and drawn power over the gap with a
+    single combined charge/discharge/clamp step per trace segment, which
+    keeps the conservation identity exact.
     """
-    if delivered < 0:
-        raise ValueError("delivered energy must be >= 0")
-    room = storage.capacity_b - storage.e_cap
-    stored = min(delivered, room)
-    storage.e_cap += stored
-    wasted = delivered - stored
-    ledger.add_harvest(delivered, wasted)
-    return wasted
 
+    __slots__ = (
+        "node", "storage", "params", "trace", "ledger",
+        "clock_s", "_res", "_samples", "_n", "_ceff", "_eff", "_nz_starts",
+    )
 
-class ReactiveAction(enum.Enum):
-    STAY_OFF = "stay_off"
-    START_COMMUNICATING = "start_communicating"
-    KEEP_COMMUNICATING = "keep_communicating"
-    POWER_OFF = "power_off"
+    def __init__(self, node: int, storage: EnergyStorage, params: EnergyParams,
+                 trace: HarvestTrace):
+        self.node = node
+        self.storage = storage
+        self.params = params
+        self.trace = trace
+        self.ledger = EnergyLedger()
+        self.clock_s = 0.0
+        self._res = trace.resolution_s
+        # plain list: scalar indexing in the integrate loop is pure python
+        self._samples = trace.samples.tolist()
+        self._n = len(self._samples)
+        self._ceff = params.charge_efficiency
+        self._eff = params.buck_efficiency
+        nz = np.nonzero(trace.samples)[0]
+        self._nz_starts = nz * self._res
 
+    def integrate(self, t1: float, p_load: float, category: str,
+                  die: bool) -> Optional[float]:
+        """Advance the clock to t1 drawing p_load (load side) throughout.
 
-def reactive_decision(storage: EnergyStorage, params: EnergyParams,
-                      currently_communicating: bool) -> ReactiveAction:
-    """Reactive energy manager: strict threshold to start, empty to stop."""
-    if currently_communicating:
-        if storage.e_cap <= 0.0:
-            return ReactiveAction.POWER_OFF
-        return ReactiveAction.KEEP_COMMUNICATING
-    if storage.e_cap > params.start_threshold:
-        return ReactiveAction.START_COMMUNICATING
-    return ReactiveAction.STAY_OFF
+        With die=True an emptied storage aborts the activity and the
+        empty time is returned; with die=False (off-state monitoring)
+        the storage clamps at zero and time keeps moving.
+        """
+        t = self.clock_s
+        if t1 <= t + CLOCK_EPS_S:
+            if t1 < t - 1e-6:
+                raise SimulationError(
+                    f"node {self.node}: time reversed {t} -> {t1}")
+            self.clock_s = max(t, t1)
+            return None
+        p_draw = p_load / self._eff
+        e = self.storage.e_cap
+        cap = self.storage.capacity_b
+        res = self._res
+        samples = self._samples
+        n = self._n
+        ceff = self._ceff
+        # the ledger's compensated sums, updated inline below with exactly
+        # the adds of EnergyLedger.add_harvest then add_drawn, 0.0 included
+        ledger = self.ledger
+        s_in, s_waste, s_cat = (ledger._e_in, ledger._e_wasted,
+                                ledger._cats[category])
+        in_t, in_c = s_in.total, s_in.comp
+        w_t, w_c = s_waste.total, s_waste.comp
+        d_t, d_c = s_cat.total, s_cat.comp
+        died = False
+        while True:
+            k = int(t / res)
+            seg_end = (k + 1) * res
+            end = t1 if t1 < seg_end else seg_end
+            dt = end - t
+            if dt > 0.0:
+                p_in = samples[k] * ceff if k < n else 0.0
+                h = p_in * dt
+                u = p_draw * dt
+                avail = e + h
+                w = 0.0
+                if u >= avail and u > 0.0:
+                    if die:
+                        denom = p_draw - p_in
+                        tau = e / denom if denom > 0.0 else dt
+                        if tau > dt:
+                            tau = dt
+                        h = p_in * tau
+                        u = e + h
+                        end = t1 = t + tau
+                        died = True
+                    else:
+                        # off-state monitor: eats the trickle, clamps at zero
+                        u = avail
+                    e = 0.0
+                else:
+                    e = avail - u
+                    if e > cap:
+                        w = e - cap
+                        e = cap
+                y = h - in_c
+                x = in_t + y
+                in_c = (x - in_t) - y
+                in_t = x
+                y = w - w_c
+                x = w_t + y
+                w_c = (x - w_t) - y
+                w_t = x
+                y = u - d_c
+                x = d_t + y
+                d_c = (x - d_t) - y
+                d_t = x
+            t = end
+            if t >= t1:
+                break
+        s_in.total, s_in.comp = in_t, in_c
+        s_waste.total, s_waste.comp = w_t, w_c
+        s_cat.total, s_cat.comp = d_t, d_c
+        self.storage.e_cap = e
+        self.clock_s = t1
+        return t1 if died else None
+
+    def advance(self, t1: float, load: tuple[float, str]) -> Optional[float]:
+        """Perform one continuous activity, given as (load power, ledger
+        category), until t1; returns the death time if the storage empties
+        before t1."""
+        return self.integrate(t1, load[0], load[1], True)
+
+    def spend(self, activity: Activity) -> bool:
+        """Draw one fixed-cost activity at the current instant."""
+        if activity not in (Activity.BOOT_SAMPLE, Activity.COM_INIT):
+            raise SimulationError(f"{activity} is not a fixed-cost activity")
+        return consume(self.ledger, self.storage, ACTIVITY_CATEGORY[activity],
+                       per_activity_energy(activity, self.params), self._eff)
+
+    def next_power_time(self, t: float) -> float:
+        """Earliest time >= t with nonzero harvested power (inf if none)."""
+        arr = self._nz_starts
+        i = int(np.searchsorted(arr, t, side="right"))
+        if i > 0 and arr[i - 1] + self._res > t:
+            return t
+        return float(arr[i]) if i < arr.size else float("inf")
+
+    def drawn_snapshot(self) -> tuple[float, float, float]:
+        led = self.ledger
+        return (led.drawn("tx"), led.drawn("listen"), led.drawn("idle"))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Callable
 
@@ -36,12 +36,9 @@ def to_s(time_us: int) -> float:
 
 class EventKind(IntEnum):
     ROUND_START = 0
-    SLOT_START = 1
-    WAKE_UP = 2
-    STORAGE_SAMPLE = 3
-    TRACE_STEP = 4
-    SYNC_REQUEST = 5
-    CUSTOM = 6
+    WAKE_UP = 1
+    SYNC_REQUEST = 2
+    CUSTOM = 3
 
 
 @dataclass(frozen=True)
@@ -52,19 +49,6 @@ class SimEvent:
     payload: Any = None
 
 
-class EventHandle:
-    """Cancellation token for a scheduled event."""
-
-    __slots__ = ("event", "cancelled")
-
-    def __init__(self, event: SimEvent):
-        self.event = event
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class EventQueue:
     """Min-heap of events ordered by (time, insertion sequence).
 
@@ -73,37 +57,33 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, EventHandle]] = []
+        self._heap: list[tuple[int, int, SimEvent]] = []
         self._seq = 0
         self.now_us = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, event: SimEvent) -> EventHandle:
+    def schedule(self, event: SimEvent) -> None:
         if event.time_us < self.now_us:
             raise SimulationError(
                 f"event scheduled in the past: t={event.time_us} < now={self.now_us}"
             )
-        handle = EventHandle(event)
-        heapq.heappush(self._heap, (event.time_us, self._seq, handle))
+        heapq.heappush(self._heap, (event.time_us, self._seq, event))
         self._seq += 1
-        return handle
 
     def run_until(self, t_end_us: int, handler: Callable[[SimEvent], None]) -> int:
-        """Process every non-cancelled event with time <= t_end_us in order,
-        then advance the clock to t_end_us. Returns the processed count."""
+        """Process every event with time <= t_end_us in order, then advance
+        the clock to t_end_us. Returns the processed count."""
         if t_end_us < self.now_us:
             raise SimulationError(
                 f"run_until target {t_end_us} precedes clock {self.now_us}"
             )
         processed = 0
         while self._heap and self._heap[0][0] <= t_end_us:
-            time_us, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
+            time_us, _, event = heapq.heappop(self._heap)
             self.now_us = time_us
-            handler(handle.event)
+            handler(event)
             processed += 1
         self.now_us = t_end_us
         return processed
@@ -146,11 +126,3 @@ def draw_uniform(stream: np.random.Generator, lo: float, hi: float) -> float:
     if lo == hi:
         return lo
     return float(stream.uniform(lo, hi))
-
-
-def draw_gaussian(stream: np.random.Generator, mean: float, sigma: float) -> float:
-    if sigma < 0:
-        raise ValueError(f"negative sigma: {sigma}")
-    if sigma == 0:
-        return mean
-    return float(stream.normal(mean, sigma))

@@ -65,10 +65,6 @@ class LinkMatrix:
         object.__setattr__(self, "loss", arr)
         object.__setattr__(self, "loss_rows", arr.tolist())
 
-    @classmethod
-    def from_lists(cls, rows: list[list[float]]) -> "LinkMatrix":
-        return cls(n=len(rows), loss=np.asarray(rows, dtype=float))
-
     def loss_db(self, i: int, j: int) -> float:
         return self.loss_rows[i][j]
 

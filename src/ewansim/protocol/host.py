@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .params import ProtocolParams
 
@@ -46,7 +46,6 @@ class Schedule:
     round_start_s: float
     assignments: tuple[int, ...]  # slot i belongs to assignments[i]
     cross_vsn_next_round_s: float
-    contention_slot: bool = True
     sample_multihop: bool = False
 
     def __post_init__(self):
@@ -100,26 +99,16 @@ class ScheduleBook:
             self._dataless[self._waiting.popleft()] = 0
         return self.assigned
 
-    def drop(self, node: int):
-        self._dataless.pop(node, None)
-        try:
-            self._waiting.remove(node)
-        except ValueError:
-            pass
-
 
 def host_build_schedule(
     book: ScheduleBook,
-    new_demands: Sequence[int],
     params: ProtocolParams,
     vsn: str,
     round_index: int,
     round_start_s: float,
     cross_vsn_next_round_s: float,
 ) -> Schedule:
-    """Produce the next round's schedule from the book and fresh demands."""
-    for node in new_demands:
-        book.enqueue_demand(node)
+    """Produce the next round's schedule from the book."""
     assignments = book.prune_and_fill()
     sample = vsn == "single_hop" and round_index % params.m == 0
     return Schedule(
@@ -128,6 +117,5 @@ def host_build_schedule(
         round_start_s=round_start_s,
         assignments=assignments,
         cross_vsn_next_round_s=cross_vsn_next_round_s,
-        contention_slot=True,
         sample_multihop=sample,
     )

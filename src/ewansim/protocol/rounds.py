@@ -22,8 +22,21 @@ from .params import (
 )
 
 
+class _RoundLayout:
+    """The slot sequence both layouts share."""
+
+    def round_duration(self, n_data_slots: int) -> float:
+        slots = (
+            self.schedule_slot
+            + n_data_slots * self.data_slot
+            + self.contention_slot
+            + self.schedule_slot
+        )
+        return slots + (n_data_slots + 3) * self.gap
+
+
 @dataclass(frozen=True)
-class MhRoundLayout:
+class MhRoundLayout(_RoundLayout):
     """Timing of one multi-hop round; every slot is a flood."""
 
     n_sub_slots: int
@@ -56,21 +69,12 @@ class MhRoundLayout:
     def contention_slot(self) -> float:
         return self.flood_duration(self.toa_contention)
 
-    def round_duration(self, n_data_slots: int) -> float:
-        slots = (
-            self.schedule_slot
-            + n_data_slots * self.data_slot
-            + self.contention_slot
-            + self.schedule_slot
-        )
-        return slots + (n_data_slots + 3) * self.gap
-
     def max_round_duration(self, params: ProtocolParams) -> float:
         return self.round_duration(params.max_data_slots_mh)
 
 
 @dataclass(frozen=True)
-class ShRoundLayout:
+class ShRoundLayout(_RoundLayout):
     """Timing of one single-hop round; every slot is host point-to-point."""
 
     host_copies: int  # schedule transmissions per schedule slot
@@ -106,15 +110,6 @@ class ShRoundLayout:
     def schedule_listen_until_copy(self, copy: int) -> float:
         """Receiver listen time when the copy-th transmission lands."""
         return copy * self.toa_schedule + (copy - 1) * self.turnaround
-
-    def round_duration(self, n_data_slots: int) -> float:
-        slots = (
-            self.schedule_slot
-            + n_data_slots * self.data_slot
-            + self.contention_slot
-            + self.schedule_slot
-        )
-        return slots + (n_data_slots + 3) * self.gap
 
     def max_round_duration(self, params: ProtocolParams) -> float:
         return self.round_duration(params.max_data_slots_sh)

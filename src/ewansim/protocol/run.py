@@ -14,29 +14,28 @@ harvest trace against the activity it is performing, so the per-node
 ledgers close exactly: e_in equals storage delta plus energy drawn plus
 clamp waste, to sub-nanojoule error over a week.
 
-Rounds are processed atomically at their start time. Within a round,
-per-slot radio activity is aggregated per node and applied as a few
-account advances; when a participant's storage is below a conservative
-worst-case round cost, the round switches to a careful slot-by-slot mode
-in which deaths take effect between slots and remove the node from
-subsequent floods.
+Rounds are processed atomically at their start time. Both round
+handlers book their participants' energy through one _RoundAccountant:
+each node's per-slot radio time is summed into [listen, tx, idle] and
+applied as a few account advances at the round end. When a
+participant's storage is below a conservative worst-case round cost,
+the round is careful instead: every live node is flushed at each slot
+end, so deaths take effect between slots and remove the node from
+subsequent slots.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from ..energy import (
-    ACTIVITY_CATEGORY,
+    CLOCK_EPS_S,
     Activity,
-    EnergyLedger,
     EnergyParams,
     EnergyStorage,
     HarvestTrace,
-    consume,
+    NodeAccount,
 )
 from ..engine import (
     EventKind,
@@ -58,7 +57,8 @@ from ..radio import (
     resolve_concurrent,
     time_on_air,
 )
-from .host import ScheduleBook, host_build_schedule
+from .host import (ScheduleBook, host_build_schedule,
+                   host_handle_sync_request)
 from .params import (
     CONTENTION_BYTES,
     SYNC_BYTES,
@@ -76,152 +76,6 @@ PROTOCOLS = ("ewan", "single_hop", "multi_hop", "drb")
 _BIG_STORAGE_J = 6.0
 _MHB_START_THRESHOLD_J = 5.0
 
-_EPS = 1e-9
-
-
-class NodeAccount:
-    """Energy state of one node: storage, harvest trace, ledger, clock.
-
-    The clock tracks the last instant energy was accounted for; every
-    advance integrates harvested and drawn power over the gap with a
-    single combined charge/discharge/clamp step per trace segment, which
-    keeps the conservation identity exact.
-    """
-
-    __slots__ = (
-        "node", "storage", "params", "trace", "ledger",
-        "clock_s", "_res", "_samples", "_n", "_ceff", "_eff", "_nz_starts",
-    )
-
-    def __init__(self, node: int, storage: EnergyStorage, params: EnergyParams,
-                 trace: HarvestTrace):
-        self.node = node
-        self.storage = storage
-        self.params = params
-        self.trace = trace
-        self.ledger = EnergyLedger()
-        self.clock_s = 0.0
-        self._res = trace.resolution_s
-        # plain list: scalar indexing in the integrate loop is pure python
-        self._samples = trace.samples.tolist()
-        self._n = len(self._samples)
-        self._ceff = params.charge_efficiency
-        self._eff = params.buck_efficiency
-        nz = np.nonzero(trace.samples)[0]
-        self._nz_starts = nz * self._res
-
-    def integrate(self, t1: float, p_load: float, category: str,
-                  die: bool) -> Optional[float]:
-        """Advance the clock to t1 drawing p_load (load side) throughout.
-
-        With die=True an emptied storage aborts the activity and the
-        empty time is returned; with die=False (off-state monitoring)
-        the storage clamps at zero and time keeps moving.
-        """
-        t = self.clock_s
-        if t1 <= t + _EPS:
-            if t1 < t - 1e-6:
-                raise SimulationError(
-                    f"node {self.node}: time reversed {t} -> {t1}")
-            self.clock_s = max(t, t1)
-            return None
-        p_draw = p_load / self._eff
-        e = self.storage.e_cap
-        cap = self.storage.capacity_b
-        res = self._res
-        samples = self._samples
-        n = self._n
-        ceff = self._ceff
-        # the ledger's compensated sums, updated inline below with exactly
-        # the adds of EnergyLedger.add_harvest then add_drawn, 0.0 included
-        ledger = self.ledger
-        s_in, s_waste, s_cat = (ledger._e_in, ledger._e_wasted,
-                                ledger._cats[category])
-        in_t, in_c = s_in.total, s_in.comp
-        w_t, w_c = s_waste.total, s_waste.comp
-        d_t, d_c = s_cat.total, s_cat.comp
-        died = False
-        while True:
-            k = int(t / res)
-            seg_end = (k + 1) * res
-            end = t1 if t1 < seg_end else seg_end
-            dt = end - t
-            if dt > 0.0:
-                p_in = samples[k] * ceff if k < n else 0.0
-                h = p_in * dt
-                u = p_draw * dt
-                avail = e + h
-                w = 0.0
-                if u >= avail and u > 0.0:
-                    if die:
-                        denom = p_draw - p_in
-                        tau = e / denom if denom > 0.0 else dt
-                        if tau > dt:
-                            tau = dt
-                        h = p_in * tau
-                        u = e + h
-                        end = t1 = t + tau
-                        died = True
-                    else:
-                        # off-state monitor: eats the trickle, clamps at zero
-                        u = avail
-                    e = 0.0
-                else:
-                    e = avail - u
-                    if e > cap:
-                        w = e - cap
-                        e = cap
-                y = h - in_c
-                x = in_t + y
-                in_c = (x - in_t) - y
-                in_t = x
-                y = w - w_c
-                x = w_t + y
-                w_c = (x - w_t) - y
-                w_t = x
-                y = u - d_c
-                x = d_t + y
-                d_c = (x - d_t) - y
-                d_t = x
-            t = end
-            if t >= t1:
-                break
-        s_in.total, s_in.comp = in_t, in_c
-        s_waste.total, s_waste.comp = w_t, w_c
-        s_cat.total, s_cat.comp = d_t, d_c
-        self.storage.e_cap = e
-        self.clock_s = t1
-        return t1 if died else None
-
-    def advance(self, t1: float, load: tuple[float, str]) -> Optional[float]:
-        """Perform one continuous activity, given as (load power, ledger
-        category), until t1; returns the death time if the storage empties
-        before t1."""
-        return self.integrate(t1, load[0], load[1], True)
-
-    def spend(self, activity: Activity) -> bool:
-        """Draw one fixed-cost activity at the current instant."""
-        if activity is Activity.BOOT_SAMPLE:
-            amount = self.params.e_boot
-        elif activity is Activity.COM_INIT:
-            amount = self.params.e_com_init
-        else:
-            raise SimulationError(f"{activity} is not a fixed-cost activity")
-        return consume(self.ledger, self.storage,
-                       ACTIVITY_CATEGORY[activity], amount, self._eff)
-
-    def next_power_time(self, t: float) -> float:
-        """Earliest time >= t with nonzero harvested power (inf if none)."""
-        arr = self._nz_starts
-        i = int(np.searchsorted(arr, t, side="right"))
-        if i > 0 and arr[i - 1] + self._res > t:
-            return t
-        return float(arr[i]) if i < arr.size else float("inf")
-
-    def drawn_snapshot(self) -> tuple[float, float, float]:
-        led = self.ledger
-        return (led.drawn("tx"), led.drawn("listen"), led.drawn("idle"))
-
 
 class _ChannelLoads(NamedTuple):
     """(load power, ledger category) of listening and of transmitting on
@@ -229,6 +83,85 @@ class _ChannelLoads(NamedTuple):
 
     listen: tuple[float, str]
     tx: tuple[float, str]
+
+
+class _RoundAccountant:
+    """Energy of one round's participants, shared by both round handlers.
+
+    A handler adds each node's radio time to its [listen, tx, idle] cost
+    list; flush() books the list in that order. An aggregated round
+    flushes each node once, at the round end. A careful round (set by
+    the handler when some participant's storage is below a worst-case
+    round cost) flushes every live node at each slot end through
+    settle(), so a death takes effect before the node's next slot.
+    """
+
+    def __init__(self, run: "ProtocolRun", record: RoundRecord,
+                 book: ScheduleBook, loads: _ChannelLoads,
+                 present: list[int]):
+        self.run = run
+        self.record = record
+        self.book = book
+        self.loads = loads
+        self.present = present
+        self.costs = {n: [0.0, 0.0, 0.0] for n in present}
+        self.snapshots = {n: run.accounts[n].drawn_snapshot()
+                          for n in present}
+        self.careful = False
+
+    def flush(self, n: int, end_t: Optional[float] = None) -> bool:
+        """Book node n's pending listen, then tx, then idle until end_t
+        (None: the clock after listen and tx plus the booked idle).
+        Returns True if the node died, which also kills it."""
+        acct = self.run.accounts[n]
+        li, tx, idl = self.costs[n]
+        d = acct.advance(acct.clock_s + li, self.loads.listen)
+        if d is None and tx > 0:
+            d = acct.advance(acct.clock_s + tx, self.loads.tx)
+        if d is None:
+            if end_t is None:
+                end_t = acct.clock_s + idl
+            if end_t > acct.clock_s + CLOCK_EPS_S:
+                d = acct.advance(end_t, self.run.load_idle)
+        self.costs[n] = [0.0, 0.0, 0.0]
+        if d is not None:
+            self.run._kill(n, d)
+            return True
+        return False
+
+    def flush_all(self, alive: list[int], end_t: float):
+        """Flush every node of alive to end_t; the dead leave alive."""
+        for n in list(alive):
+            if self.flush(n, end_t):
+                alive.remove(n)
+
+    def settle(self, alive: list[int], t: float):
+        """A slot ended at t: a careful round flushes the live nodes."""
+        if self.careful:
+            self.flush_all(alive, t)
+
+    def close(self, received: Mapping[int, bool], delivered: set[int],
+              attempted: set[int], n_slots: int):
+        """Feed the deliveries to the book and record every participant."""
+        self.book.observe_round(delivered)
+        accounts = self.run.accounts
+        record = self.record
+        for n in self.present:
+            b = self.snapshots[n]
+            a = accounts[n].drawn_snapshot()
+            record.nodes[n] = NodeRoundStats(
+                received_first_schedule=received[n],
+                packets_delivered=1 if n in delivered else 0,
+                packets_attempted=1 if n in attempted else 0,
+                energy_by_category={
+                    "tx": a[0] - b[0], "listen": a[1] - b[1],
+                    "idle": a[2] - b[2]},
+            )
+        tag = "mh" if record.vsn == "multi_hop" else "sh"
+        self.run._log(record.round_start_s,
+                      f"round {tag} k={record.round_index} slots={n_slots} "
+                      f"present={len(self.present)} "
+                      f"delivered={len(delivered)}")
 
 
 @dataclass(frozen=True)
@@ -246,15 +179,15 @@ class RunHooks:
         default_factory=dict)
 
     def mh_blocked(self, node: int, k: int) -> bool:
-        if not self.blocked_multi_hop:
-            return False
-        return any(a <= k < b for a, b in self.blocked_multi_hop.get(node, ()))
+        return _in_ranges(self.blocked_multi_hop, node, k)
 
     def sh_blocked(self, node: int, k: int) -> bool:
-        if not self.blocked_single_hop:
-            return False
-        return any(a <= k < b
-                   for a, b in self.blocked_single_hop.get(node, ()))
+        return _in_ranges(self.blocked_single_hop, node, k)
+
+
+def _in_ranges(ranges: Mapping[int, Sequence[tuple[int, int]]], node: int,
+               k: int) -> bool:
+    return bool(ranges) and any(a <= k < b for a, b in ranges.get(node, ()))
 
 
 @dataclass
@@ -310,17 +243,15 @@ class ProtocolRun:
             raise ValueError(f"unknown protocol {protocol!r}")
         if links_multi_hop.n != n_nodes + 1 or links_single_hop.n != n_nodes + 1:
             raise ValueError("link matrices must cover host + n_nodes")
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < horizon_s < float("inf"):
+            raise ValueError("horizon must be finite and positive")
         self.protocol = protocol
         self.n_nodes = n_nodes
         self.nodes = tuple(range(1, n_nodes + 1))
         self.links_mh = links_multi_hop
         self.links_sh = links_single_hop
         self.params = params
-        self.vsn = vsn_configs
         self.horizon_s = horizon_s
-        self.streams = streams
         self.hooks = hooks or RunHooks()
         self.collect = collect_events
         self.ramp_db = ramp_width_db
@@ -332,15 +263,7 @@ class ProtocolRun:
         if protocol in ("drb", "multi_hop"):
             storage_b = _BIG_STORAGE_J
         if protocol == "multi_hop":
-            eparams = EnergyParams(
-                e_boot=eparams.e_boot, e_com_init=eparams.e_com_init,
-                p_boot=eparams.p_boot, p_sleep=eparams.p_sleep,
-                p_idle=eparams.p_idle,
-                buck_efficiency=eparams.buck_efficiency,
-                start_threshold=_MHB_START_THRESHOLD_J,
-                sample_interval=eparams.sample_interval,
-                charge_efficiency=eparams.charge_efficiency,
-            )
+            eparams = replace(eparams, start_threshold=_MHB_START_THRESHOLD_J)
         self.eparams = eparams
         self.initial_charge_j = initial_charge_j
         if initial_charge_j > storage_b:
@@ -357,7 +280,6 @@ class ProtocolRun:
         self.sh_enabled = protocol in ("ewan", "single_hop")
         self.has_mh = protocol in ("ewan", "drb", "multi_hop")
         self.has_sh = protocol in ("ewan", "single_hop")
-        self.has_sync = protocol != "multi_hop"
 
         self.cfg_boot = vsn_configs.bootstrap
         self.cfg_mh = vsn_configs.multi_hop
@@ -375,16 +297,10 @@ class ProtocolRun:
             for c in (self.cfg_boot, self.cfg_mh, self.cfg_sh))
 
         # reception probability of each node's direct host link, per channel
-        self.p_boot_link = {
-            n: self.links_sh.link_probability(self.HOST, n, self.cfg_boot,
-                                              self.ramp_db)
-            for n in self.nodes
-        }
-        self.p_sh_link = {
-            n: self.links_sh.link_probability(self.HOST, n, self.cfg_sh,
-                                              self.ramp_db)
-            for n in self.nodes
-        }
+        self.p_boot_link, self.p_sh_link = (
+            {n: self.links_sh.link_probability(self.HOST, n, c, self.ramp_db)
+             for n in self.nodes}
+            for c in (self.cfg_boot, self.cfg_sh))
         all_ids = set(range(n_nodes + 1))
         self._mh_deterministic = self.links_mh.all_links_deterministic(
             all_ids, self.cfg_mh, self.ramp_db)
@@ -392,10 +308,8 @@ class ProtocolRun:
 
         # conservative per-round storage costs that guarantee survival
         eff = eparams.buck_efficiency
-        tx_mh = self.power_table.tx_watts(self.cfg_mh)
-        rx_mh = self.power_table.rx_watts(self.cfg_mh)
-        tx_sh = self.power_table.tx_watts(self.cfg_sh)
-        rx_sh = self.power_table.rx_watts(self.cfg_sh)
+        (rx_mh, _), (tx_mh, _) = self.load_mh
+        (rx_sh, _), (tx_sh, _) = self.load_sh
         mh_dur = self.mh_layout.max_round_duration(params)
         sh_dur = self.sh_layout.max_round_duration(params)
         self.mh_fragile_j = 1.05 * tx_mh * mh_dur / eff + 1e-3
@@ -524,7 +438,7 @@ class ProtocolRun:
 
     def _power_on(self, node: int, t: float):
         acct = self.accounts[node]
-        if acct.clock_s < t - _EPS:
+        if acct.clock_s < t - CLOCK_EPS_S:
             acct.integrate(t, self.eparams.p_boot, "boot", die=False)
         if acct.storage.e_cap <= self.eparams.start_threshold:
             # dipped back below threshold while waiting: keep charging
@@ -656,8 +570,10 @@ class ProtocolRun:
     def _register_synced(self, node: int, t: float):
         if self.protocol in ("ewan", "drb"):
             k1, t1 = self.params.next_mh_round_after(t)
+            resp = host_handle_sync_request(t, t1, self.params)
             self.wait_mh[k1].append((node, self.sync_token[node]))
-            self._log(t, f"sync_ok node={node} mh_round={k1} tau1={t1 - t:.3f}")
+            self._log(t, f"sync_ok node={node} mh_round={k1} "
+                         f"tau1={resp.tau1:.3f}")
         else:  # single-hop baseline: response carries the next round time
             k1, _ = self.params.next_sh_round_after(t)
             self.wait_sh[k1].append((node, "bootstrap", self.sync_token[node]))
@@ -712,10 +628,20 @@ class ProtocolRun:
                 alive.append(n)
         return alive
 
+    def _open_round(self, vsn: str, k: int, rs: float, present: list[int],
+                    book: ScheduleBook,
+                    loads: _ChannelLoads) -> Optional[_RoundAccountant]:
+        """Record round k; None if nobody is present to account for."""
+        record = RoundRecord(vsn=vsn, round_index=k, round_start_s=rs)
+        self.records.append(record)
+        if not present:
+            book.observe_round(())
+            return None
+        return _RoundAccountant(self, record, book, loads, present)
+
     def _handle_mh_round(self, k: int, rs: float):
         params = self.params
         layout = self.mh_layout
-        ld = self.load_mh
 
         members = self._gather(sorted(self.members_mh), rs, self.load_sleep)
         boot_raw = self.wait_mh.pop(k, [])
@@ -726,26 +652,26 @@ class ProtocolRun:
         samp = [n for n in sorted(self.samplers.pop(k, set()))
                 if self.nstate[n].vsn is Vsn.SINGLE_HOP]
         samp = self._gather(samp, rs, self.load_sleep)
-        passive = self._gather(sorted(self.mhb_listeners), rs, ld.listen)
+        passive = self._gather(sorted(self.mhb_listeners), rs,
+                               self.load_mh.listen)
 
         if self.protocol == "ewan":
             cross = params.sh_round_start(k)
         else:
             cross = params.mh_round_start(k + 1)
-        sched = host_build_schedule(self.book_mh, [], params, "multi_hop",
+        sched = host_build_schedule(self.book_mh, params, "multi_hop",
                                     k, rs, cross)
         n_slots = len(sched.assignments)
         re = rs + layout.round_duration(n_slots)
         self.host_busy_until = max(self.host_busy_until, re)
 
-        record = RoundRecord(vsn="multi_hop", round_index=k, round_start_s=rs)
-        self.records.append(record)
         present = members + boot + samp + passive
-        if not present:
-            self.book_mh.observe_round(())
+        acc = self._open_round("multi_hop", k, rs, present, self.book_mh,
+                               self.load_mh)
+        if acc is None:
             return
+        costs = acc.costs
 
-        snapshots = {n: self.accounts[n].drawn_snapshot() for n in present}
         blocked = {n for n in present if self.hooks.mh_blocked(n, k)}
         flood_ids = frozenset(
             [self.HOST] + [n for n in present if n not in blocked])
@@ -754,15 +680,10 @@ class ProtocolRun:
             sched_res = self._flood("sched", {self.HOST: self.HOST},
                                     flood_ids, params.schedule_payload_mh)
 
-        received: dict[int, bool] = {}
-        for n in present:
-            if sched_res is not None and n in sched_res.nodes:
-                received[n] = sched_res.nodes[n].received
-            else:
-                received[n] = False
+        heard = sched_res.nodes if sched_res is not None else {}
+        received = {n: n in heard and heard[n].received for n in present}
 
         sched_span = layout.schedule_slot + layout.gap
-        costs: dict[int, list[float]] = {n: [0.0, 0.0, 0.0] for n in present}
 
         def add_flood_costs(res: FloodResult, span: float, toa: float,
                             group: Sequence[int]):
@@ -777,13 +698,10 @@ class ProtocolRun:
         # roles after the first schedule
         R: list[int] = []
         leavers: list[int] = []
-        contenders: list[int] = []
         for n in members:
             if received[n]:
                 self._transition(n, TransitionEvent.RECEIVED_MH_SCHEDULE, rs)
                 R.append(n)
-                if sched.slot_of(n) is None:
-                    contenders.append(n)
             else:
                 st = self._transition(n, TransitionEvent.MISSED_SCHEDULE, rs)
                 self._log(rs, f"sched_miss node={n} vsn=mh k={k} "
@@ -801,8 +719,6 @@ class ProtocolRun:
                 self._transition(n, TransitionEvent.RECEIVED_MH_SCHEDULE, rs)
                 self._log(rs, f"join node={n} vsn=mh via=bootstrap k={k}")
                 R.append(n)
-                if sched.slot_of(n) is None:
-                    contenders.append(n)
             else:
                 leavers.append(n)
                 if self.protocol == "ewan":
@@ -817,8 +733,6 @@ class ProtocolRun:
                 self._transition(n, TransitionEvent.SAMPLED_MH_SUCCESS, rs)
                 self._log(rs, f"join node={n} vsn=mh via=sample k={k}")
                 R.append(n)
-                if sched.slot_of(n) is None:
-                    contenders.append(n)
             else:
                 self._transition(n, TransitionEvent.SAMPLED_MH_FAILURE, rs)
                 leavers.append(n)
@@ -829,10 +743,9 @@ class ProtocolRun:
                 self._log(rs, f"join node={n} vsn=mh via=listen k={k}")
                 self.mhb_listeners.discard(n)
                 R.append(n)
-                if sched.slot_of(n) is None:
-                    contenders.append(n)
             else:
                 passive_stay.append(n)
+        contenders = [n for n in R if sched.slot_of(n) is None]
 
         if sched_res is not None:
             add_flood_costs(sched_res, sched_span, layout.toa_schedule,
@@ -843,55 +756,35 @@ class ProtocolRun:
                 # severed this round: listened to the whole slot for nothing
                 costs[n][0] += layout.schedule_slot
 
-        careful = any(
+        acc.careful = any(
             self.accounts[n].storage.e_cap < self.mh_fragile_j for n in R
         ) or any(
             self.accounts[n].storage.e_cap < self.mhb_listen_fragile_j
             for n in passive_stay
         )
 
-        def flush(n: int, end_t: float) -> bool:
-            acct = self.accounts[n]
-            li, tx, idl = costs[n]
-            t0 = acct.clock_s
-            d = acct.advance(t0 + li, ld.listen)
-            if d is None and tx > 0:
-                d = acct.advance(acct.clock_s + tx, ld.tx)
-            if d is None and end_t > acct.clock_s + _EPS:
-                d = acct.advance(end_t, self.load_idle)
-            costs[n] = [0.0, 0.0, 0.0]
-            if d is not None:
-                self._kill(n, d)
-                return True
-            return False
-
         # leavers are done after the first schedule slot
         for n in leavers:
-            flush(n, self.accounts[n].clock_s + sum(costs[n]))
+            acc.flush(n, self.accounts[n].clock_s + sum(costs[n]))
 
-        R_alive = [n for n in R]
-        contenders = [n for n in contenders if n in R_alive]
+        R_alive = list(R)
         delivered: set[int] = set()
         attempted: set[int] = set()
         t_cursor = rs + sched_span
-        if careful:
-            for n in list(R_alive):
-                if flush(n, t_cursor):
-                    R_alive.remove(n)
+        acc.settle(R_alive, t_cursor)
 
-        slot_plan: list[tuple[str, Optional[int], float]] = []
-        for owner in sched.assignments:
-            slot_plan.append(("data", owner, layout.data_slot + layout.gap))
-        slot_plan.append(("cont", None,
-                          layout.contention_slot + layout.gap))
-        slot_plan.append(("sched2", None, sched_span))
+        slot_plan: list[tuple[str, Optional[int], float]] = [
+            ("data", owner, layout.data_slot + layout.gap)
+            for owner in sched.assignments]
+        slot_plan += [("cont", None, layout.contention_slot + layout.gap),
+                      ("sched2", None, sched_span)]
 
         for kind, owner, span in slot_plan:
             alive_set = frozenset([self.HOST] + R_alive)
             res = None
             toa = layout.toa_data
             if kind == "data":
-                if owner in R_alive and (not careful or
+                if owner in R_alive and (not acc.careful or
                         self.accounts[owner].storage.e_cap
                         > self.mh_owner_tx_j):
                     res = self._flood("data", {owner: owner}, alive_set,
@@ -922,33 +815,16 @@ class ProtocolRun:
                 for n in R_alive:
                     costs[n][2] += span
             t_cursor += span
-            if careful:
-                for n in list(R_alive):
-                    if flush(n, t_cursor):
-                        R_alive.remove(n)
+            acc.settle(R_alive, t_cursor)
 
-        if not careful:
-            for n in list(R_alive):
-                flush(n, re)
+        # a careful round settled every live node at the last slot end
+        if not acc.careful:
+            acc.flush_all(R_alive, re)
         for n in passive_stay:
-            d = self.accounts[n].advance(re, ld.listen)
+            d = self.accounts[n].advance(re, self.load_mh.listen)
             if d is not None:
                 self._kill(n, d)
-
-        self.book_mh.observe_round(delivered)
-        for n in present:
-            b = snapshots[n]
-            a = self.accounts[n].drawn_snapshot()
-            record.nodes[n] = NodeRoundStats(
-                received_first_schedule=received[n],
-                packets_delivered=1 if n in delivered else 0,
-                packets_attempted=1 if n in attempted else 0,
-                energy_by_category={
-                    "tx": a[0] - b[0], "listen": a[1] - b[1],
-                    "idle": a[2] - b[2]},
-            )
-        self._log(rs, f"round mh k={k} slots={n_slots} "
-                      f"present={len(present)} delivered={len(delivered)}")
+        acc.close(received, delivered, attempted, n_slots)
 
     # ------------------------------------------------------------------
     # single-hop rounds (ewan, single_hop baseline)
@@ -968,7 +844,6 @@ class ProtocolRun:
         params = self.params
         layout = self.sh_layout
         cfg = self.cfg_sh
-        ld = self.load_sh
 
         members = self._gather(sorted(self.members_sh), rs, self.load_sleep)
         wait_raw = self.wait_sh.pop(k, [])
@@ -987,26 +862,23 @@ class ProtocolRun:
         waiters = [(n, r) for n, r in waiters if n in alive_waiters]
 
         cross = params.mh_round_start(k + 1)
-        sched = host_build_schedule(self.book_sh, [], params, "single_hop",
+        sched = host_build_schedule(self.book_sh, params, "single_hop",
                                     k, rs, cross)
         n_slots = len(sched.assignments)
         re = rs + layout.round_duration(n_slots)
         self.host_busy_until = max(self.host_busy_until, re)
         sample_flag = sched.sample_multihop and self.protocol == "ewan"
 
-        record = RoundRecord(vsn="single_hop", round_index=k, round_start_s=rs)
-        self.records.append(record)
         present = members + [n for n, _ in waiters]
-        if not present:
-            self.book_sh.observe_round(())
+        acc = self._open_round("single_hop", k, rs, present, self.book_sh,
+                               self.load_sh)
+        if acc is None:
             return
+        costs = acc.costs
 
-        snapshots = {n: self.accounts[n].drawn_snapshot() for n in present}
         reason_of = dict(waiters)
         received: dict[int, bool] = {}
-        costs: dict[int, list[float]] = {n: [0.0, 0.0, 0.0] for n in present}
         R: list[int] = []
-        contenders: list[int] = []
         leave_t = rs + layout.schedule_slot
 
         for n in present:
@@ -1018,8 +890,6 @@ class ProtocolRun:
                 costs[n][2] += layout.schedule_slot - listen_s + layout.gap
                 self._transition(n, TransitionEvent.RECEIVED_SH_SCHEDULE, rs)
                 R.append(n)
-                if sched.slot_of(n) is None:
-                    contenders.append(n)
                 if n in reason_of:
                     self._log(rs, f"join node={n} vsn=sh via={reason_of[n]} "
                                   f"k={k}")
@@ -1038,35 +908,17 @@ class ProtocolRun:
                         self._backoff, 0.0, params.backoff_window)
                     self._schedule_sync(n, retry)
 
-        # flush leavers (missed first schedule): listened, then sleep
-        def flush(n: int, end_t: Optional[float]) -> bool:
-            acct = self.accounts[n]
-            li, tx, idl = costs[n]
-            d = acct.advance(acct.clock_s + li, ld.listen)
-            if d is None and tx > 0:
-                d = acct.advance(acct.clock_s + tx, ld.tx)
-            if d is None:
-                target = end_t if end_t is not None else acct.clock_s + idl
-                if target > acct.clock_s + _EPS:
-                    d = acct.advance(target, self.load_idle)
-            costs[n] = [0.0, 0.0, 0.0]
-            if d is not None:
-                self._kill(n, d)
-                return True
-            return False
-
+        # leavers (missed the first schedule) listened, then sleep
         for n in present:
-            if n not in received or not received[n]:
-                flush(n, None)
+            if not received[n]:
+                acc.flush(n)
 
-        careful = any(self.accounts[n].storage.e_cap < self.sh_fragile_j
-                      for n in R)
+        contenders = [n for n in R if sched.slot_of(n) is None]
+        acc.careful = any(self.accounts[n].storage.e_cap < self.sh_fragile_j
+                          for n in R)
         R_alive = list(R)
         t_cursor = rs + layout.schedule_slot + layout.gap
-        if careful:
-            for n in list(R_alive):
-                if flush(n, t_cursor):
-                    R_alive.remove(n)
+        acc.settle(R_alive, t_cursor)
 
         delivered: set[int] = set()
         attempted: set[int] = set()
@@ -1087,10 +939,7 @@ class ProtocolRun:
                 for n in R_alive:
                     costs[n][2] += data_span
             t_cursor += data_span
-            if careful:
-                for n in list(R_alive):
-                    if flush(n, t_cursor):
-                        R_alive.remove(n)
+            acc.settle(R_alive, t_cursor)
 
         cont_span = layout.contention_slot + layout.gap
         live_cont = [n for n in contenders if n in R_alive]
@@ -1118,40 +967,16 @@ class ProtocolRun:
             if n not in live_cont:
                 costs[n][2] += cont_span
         t_cursor += cont_span
-        if careful:
-            for n in list(R_alive):
-                if flush(n, t_cursor):
-                    R_alive.remove(n)
+        acc.settle(R_alive, t_cursor)
 
         # second schedule: timing refresh only, never membership
         for n in R_alive:
-            got2, listen2 = self._sh_schedule_reception(
+            _, listen2 = self._sh_schedule_reception(
                 n, self.hooks.sh_blocked(n, k))
             costs[n][0] += listen2
             costs[n][2] += layout.schedule_slot - listen2 + layout.gap
-            del got2
-        if careful:
-            for n in list(R_alive):
-                if flush(n, re):
-                    R_alive.remove(n)
-        else:
-            for n in list(R_alive):
-                flush(n, re)
-
-        self.book_sh.observe_round(delivered)
-        for n in present:
-            b = snapshots[n]
-            a = self.accounts[n].drawn_snapshot()
-            record.nodes[n] = NodeRoundStats(
-                received_first_schedule=received.get(n, False),
-                packets_delivered=1 if n in delivered else 0,
-                packets_attempted=1 if n in attempted else 0,
-                energy_by_category={
-                    "tx": a[0] - b[0], "listen": a[1] - b[1],
-                    "idle": a[2] - b[2]},
-            )
-        self._log(rs, f"round sh k={k} slots={n_slots} "
-                      f"present={len(present)} delivered={len(delivered)}")
+        acc.flush_all(R_alive, re)
+        acc.close(received, delivered, attempted, n_slots)
 
     # ------------------------------------------------------------------
     # main loop
@@ -1179,7 +1004,7 @@ class ProtocolRun:
         horizon = self.horizon_s
         while True:
             acct = self.accounts[node]
-            if acct.clock_s >= horizon - _EPS:
+            if acct.clock_s >= horizon - CLOCK_EPS_S:
                 return
             st = self.nstate[node].vsn
             if st is Vsn.OFF:

@@ -2,8 +2,8 @@
 
 Each node is in exactly one state at any instant. Powered nodes move
 between bootstrapping, multi-hop, and single-hop membership based on
-received and missed schedules; energy events move nodes between off,
-charging, and bootstrapping.
+received and missed schedules; energy events move nodes between off
+and bootstrapping.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 class Vsn(enum.Enum):
     OFF = "off"
-    CHARGING = "charging"
     BOOTSTRAPPING = "bootstrapping"
     MULTI_HOP = "multi_hop"
     SINGLE_HOP = "single_hop"
@@ -33,14 +32,12 @@ class TransitionEvent(enum.Enum):
 class NodeState:
     vsn: Vsn = Vsn.OFF
     missed_schedules: int = 0
-    has_slot: bool = False
-    demand: int = 1  # requested packets per round
 
 
 def _with_missed(state: NodeState, missed: int) -> NodeState:
     if missed == state.missed_schedules:
         return state
-    return NodeState(state.vsn, missed, state.has_slot, state.demand)
+    return NodeState(state.vsn, missed)
 
 
 class TransitionError(Exception):
@@ -61,28 +58,28 @@ def node_transition(state: NodeState, event: TransitionEvent, p: int,
     if event is TransitionEvent.ENERGY_DEPLETED:
         if v is Vsn.OFF:
             raise TransitionError("already off")
-        return NodeState(vsn=Vsn.OFF, demand=state.demand)
+        return NodeState(vsn=Vsn.OFF)
 
     if event is TransitionEvent.ENERGY_START:
-        if v not in (Vsn.OFF, Vsn.CHARGING):
+        if v is not Vsn.OFF:
             raise TransitionError(f"energy_start while {v.value}")
-        return NodeState(vsn=Vsn.BOOTSTRAPPING, demand=state.demand)
+        return NodeState(vsn=Vsn.BOOTSTRAPPING)
 
     if event is TransitionEvent.MISSED_SCHEDULE:
         if v is Vsn.MULTI_HOP:
             if state.missed_schedules >= p:
                 # the pending single-hop join attempt failed as well
-                return NodeState(vsn=Vsn.BOOTSTRAPPING, demand=state.demand)
+                return NodeState(vsn=Vsn.BOOTSTRAPPING)
             missed = state.missed_schedules + 1
             if missed == p and not single_hop_enabled:
-                return NodeState(vsn=Vsn.BOOTSTRAPPING, demand=state.demand)
+                return NodeState(vsn=Vsn.BOOTSTRAPPING)
             # at missed == p the node is about to attempt the single-hop
             # schedule slot; the attempt outcome arrives as a later event
             return _with_missed(state, missed)
         if v is Vsn.SINGLE_HOP:
             missed = state.missed_schedules + 1
             if missed >= p:
-                return NodeState(vsn=Vsn.BOOTSTRAPPING, demand=state.demand)
+                return NodeState(vsn=Vsn.BOOTSTRAPPING)
             return _with_missed(state, missed)
         if v is Vsn.BOOTSTRAPPING:
             return state  # failed bootstrap listen: stay, retry later
@@ -92,7 +89,7 @@ def node_transition(state: NodeState, event: TransitionEvent, p: int,
         if v is Vsn.MULTI_HOP:
             return _with_missed(state, 0)
         if v is Vsn.BOOTSTRAPPING:
-            return NodeState(vsn=Vsn.MULTI_HOP, demand=state.demand)
+            return NodeState(vsn=Vsn.MULTI_HOP)
         raise TransitionError(f"received_mh_schedule while {v.value}")
 
     if event is TransitionEvent.RECEIVED_SH_SCHEDULE:
@@ -101,17 +98,17 @@ def node_transition(state: NodeState, event: TransitionEvent, p: int,
         if v is Vsn.SINGLE_HOP:
             return _with_missed(state, 0)
         if v is Vsn.BOOTSTRAPPING:
-            return NodeState(vsn=Vsn.SINGLE_HOP, demand=state.demand)
+            return NodeState(vsn=Vsn.SINGLE_HOP)
         if v is Vsn.MULTI_HOP and state.missed_schedules >= p:
             # exit attempt after p multi-hop misses succeeded
-            return NodeState(vsn=Vsn.SINGLE_HOP, demand=state.demand)
+            return NodeState(vsn=Vsn.SINGLE_HOP)
         raise TransitionError(f"received_sh_schedule while {v.value}")
 
     if event is TransitionEvent.SAMPLED_MH_SUCCESS:
         if not single_hop_enabled:
             raise TransitionError("single-hop VSN disabled")
         if v is Vsn.SINGLE_HOP:
-            return NodeState(vsn=Vsn.MULTI_HOP, demand=state.demand)
+            return NodeState(vsn=Vsn.MULTI_HOP)
         raise TransitionError(f"sampled_mh_success while {v.value}")
 
     if event is TransitionEvent.SAMPLED_MH_FAILURE:

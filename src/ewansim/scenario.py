@@ -349,6 +349,15 @@ class Scenario:
 def verify_scenario(scenario: Scenario) -> List[str]:
     """Check every structural contract; returns violation descriptions."""
     out: List[str] = []
+    if not 0.0 < scenario.horizon_s < math.inf:
+        out.append(f"horizon_s must be finite and positive, got "
+                   f"{scenario.horizon_s}")
+    cap = scenario.storage_capacity_j
+    if not 0.0 < cap < math.inf:
+        out.append(f"storage_capacity_j must be finite and positive, got {cap}")
+    elif not 0.0 <= scenario.initial_charge_j <= cap:
+        out.append(f"initial_charge_j must lie in [0, {cap}], got "
+                   f"{scenario.initial_charge_j}")
     n = scenario.n_nodes
     if scenario.links_multi_hop.n != n + 1 or scenario.links_single_hop.n != n + 1:
         out.append(f"link matrices must be {n + 1}x{n + 1} including the host")
@@ -651,11 +660,16 @@ def _read_trace_csv(path: str) -> HarvestTrace:
                     f"{path}: line {reader.line_num}: expected two fields "
                     f"time_s,power_w, got {len(row)}")
             try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
+                t, power = float(row[0]), float(row[1])
             except ValueError as exc:
                 raise ScenarioError(
                     f"{path}: line {reader.line_num}: {exc}") from exc
+            if not (math.isfinite(t) and math.isfinite(power)):
+                raise ScenarioError(
+                    f"{path}: line {reader.line_num}: time_s and power_w "
+                    f"must be finite, got {row[0]},{row[1]}")
+            times.append(t)
+            values.append(power)
     if len(times) < 2:
         raise ScenarioError(f"{path}: a trace needs at least two samples")
     res = times[1] - times[0]
@@ -685,6 +699,10 @@ def load_scenario(path: str) -> Scenario:
         traces = None
         trace_gen = None
         if "traces" in doc:
+            if not isinstance(doc["traces"], dict):
+                raise ScenarioError(
+                    f"malformed scenario file {path}: traces must map node "
+                    f"ids to trace files")
             traces = {int(node): _read_trace_csv(os.path.join(base, rel))
                       for node, rel in doc["traces"].items()}
         if "trace_gen" in doc:

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from ewansim.cli import main
-from ewansim.scenario import load_scenario, save_scenario
+from ewansim.scenario import ScenarioError, load_scenario, save_scenario
 
 from helpers import flat_scenario
 
@@ -177,3 +177,67 @@ class TestVerifyCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert f"node01.csv: line {line}:" in err
+
+    def _fixed(self, tmp_path):
+        gen(tmp_path, "fixed", "--kind", "fh", "--days", "2",
+            "--fixed-traces")
+        return tmp_path / "fixed"
+
+    def _edit_doc(self, scen_dir, **fields):
+        path = scen_dir / "scenario.yaml"
+        doc = yaml.safe_load(path.read_text())
+        doc.update(fields)
+        path.write_text(yaml.safe_dump(doc, sort_keys=True))
+
+    @pytest.mark.parametrize("power", ("nan", "inf"))
+    def test_non_finite_trace_sample_is_an_error_line(self, tmp_path, capsys,
+                                                      power):
+        scen = self._fixed(tmp_path)
+        trace = scen / "traces" / "node01.csv"
+        rows = trace.read_text().splitlines()
+        assert rows[4].startswith("180.0,")
+        rows[4] = f"180.0,{power}"
+        trace.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        for argv in (["verify", "--scenario", str(scen)],
+                     ["run", "--scenario", str(scen), "--protocol", "ewan",
+                      "--seed", "3", "--out", str(tmp_path / "out")]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err.startswith("error:")
+            assert "node01.csv: line 5:" in err
+        assert not os.path.exists(tmp_path / "out" / "metrics.csv")
+
+    # horizon and storage values that no run can use; the fixed traces
+    # leave no trace-span check that would catch them by accident
+    @pytest.mark.parametrize("field, value", [
+        ("horizon_s", float("nan")),
+        ("horizon_s", float("inf")),
+        ("horizon_s", -3600.0),
+        ("initial_charge_j", -0.1),
+        ("storage_capacity_j", float("nan")),
+    ])
+    def test_out_of_range_scalar_is_an_error_line(self, tmp_path, capsys,
+                                                  field, value):
+        scen = self._fixed(tmp_path)
+        self._edit_doc(scen, **{field: value})
+        with pytest.raises(ScenarioError, match=field):
+            load_scenario(str(scen))
+        capsys.readouterr()
+        code = main(["verify", "--scenario", str(scen)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert field in err
+
+    def test_traces_as_a_list_is_an_error_line(self, tmp_path, capsys):
+        scen = self._fixed(tmp_path)
+        doc = yaml.safe_load((scen / "scenario.yaml").read_text())
+        self._edit_doc(scen, traces=list(doc["traces"].values()))
+        capsys.readouterr()
+        code = main(["verify", "--scenario", str(scen)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "traces must map node ids" in err

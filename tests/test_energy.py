@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,19 +13,15 @@ from ewansim.energy import (
     EnergyParams,
     EnergyStorage,
     HarvestTrace,
-    ReactiveAction,
-    apply_harvest,
+    NodeAccount,
     consume,
-    energy_from_voltage,
-    harvest_energy,
     per_activity_energy,
-    reactive_decision,
-    step_storage,
 )
-from ewansim.protocol.run import NodeAccount
+from ewansim.protocol.run import simulate_run
 from ewansim.radio import RadioConfig, RadioPowerTable
 
 import oracles
+from helpers import flat_scenario
 
 PARAMS = EnergyParams()
 TABLE = RadioPowerTable()
@@ -39,81 +35,121 @@ FSK = RadioConfig(
 )
 
 
+def account(samples, e0=0.35, capacity_b=0.7, params=PARAMS,
+            resolution_s=60.0) -> NodeAccount:
+    return NodeAccount(1, EnergyStorage(e0, capacity_b=capacity_b), params,
+                       HarvestTrace(samples, resolution_s))
+
+
 class TestStepStorage:
+    """NodeAccount's storage step: charge, discharge, clamp to [0, B]."""
+
     def test_upper_clamp(self):
-        assert step_storage(0.6, 0.3, 0.1, 0.7) == 0.7
+        acct = account(np.full(10, 1e-2), e0=0.6)
+        assert acct.integrate(60.0, 0.0, "sleep", True) is None
+        assert acct.storage.e_cap == 0.7
+        assert acct.ledger.e_wasted == pytest.approx(0.6 + 0.6 - 0.7)
 
     def test_lower_clamp(self):
-        assert step_storage(0.1, 0.0, 0.2, 0.7) == 0.0
+        # die=False is the off-state monitor: it clamps at zero and the
+        # clock keeps moving
+        acct = account(np.zeros(10), e0=0.1)
+        assert acct.integrate(60.0, 0.9e-2, "boot", False) is None
+        assert acct.storage.e_cap == 0.0
+        assert acct.clock_s == 60.0
+        assert acct.ledger.drawn("boot") == pytest.approx(0.1)
+
+    def test_empty_store_returns_the_death_time(self):
+        # 0.1 J against a 10 mW draw and 2 mW harvest empties at 12.5 s
+        acct = account(np.full(10, 2e-3), e0=0.1)
+        died = acct.integrate(60.0, 0.9e-2, "tx", True)
+        assert died == pytest.approx(12.5)
+        assert acct.clock_s == died
+        assert acct.storage.e_cap == 0.0
+        assert acct.ledger.drawn("tx") == pytest.approx(0.1 + 2e-3 * 12.5)
 
     def test_interior(self):
-        assert step_storage(0.2, 0.05, 0.03, 0.7) == pytest.approx(0.22)
+        acct = account(np.full(10, 1e-3), e0=0.2)
+        assert acct.integrate(60.0, 0.9 * 5e-4, "idle", True) is None
+        assert acct.storage.e_cap == pytest.approx(0.2 + 0.06 - 0.03)
 
     @given(
         e=st.floats(min_value=0, max_value=0.7),
-        h=st.floats(min_value=0, max_value=1),
-        u=st.floats(min_value=0, max_value=1),
+        p_in=st.floats(min_value=0, max_value=2e-2),
+        p_load=st.floats(min_value=0, max_value=2e-2),
+        gap=st.floats(min_value=0, max_value=200.0),
+        die=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_result_always_in_bounds(self, e, h, u):
-        out = step_storage(e, h, u, 0.7)
-        assert 0.0 <= out <= 0.7
-
-
-class TestVoltageRelation:
-    def test_zero_voltage(self):
-        assert energy_from_voltage(0.35, 0.0) == 0.0
-
-    def test_unit_case(self):
-        assert energy_from_voltage(1.0, 1.0) == 0.5
-
-    def test_platform_capacity_pair(self):
-        # 0.35 F at 2.0 V holds exactly the usable capacity of 0.7 J
-        assert energy_from_voltage(0.35, 2.0) == pytest.approx(0.7)
-        assert EnergyStorage(e_cap=0.7).voltage == pytest.approx(2.0)
+    def test_result_always_in_bounds(self, e, p_in, p_load, gap, die):
+        acct = account([p_in, p_in / 2, 0.0, p_in], e0=e)
+        acct.integrate(gap, p_load, "tx", die)
+        assert 0.0 <= acct.storage.e_cap <= 0.7
 
 
 class TestHarvestTrace:
+    """Harvest integrals as NodeAccount books them in the ledger's e_in."""
+
     def test_constant_trace_integral(self):
-        tr = HarvestTrace(np.full(10, 1e-3), resolution_s=60.0)
-        assert harvest_energy(tr, 0.0, 100.0, 1.0) == pytest.approx(0.1)
+        acct = account(np.full(10, 1e-3))
+        acct.integrate(100.0, 0.0, "sleep", True)
+        assert acct.ledger.e_in == pytest.approx(0.1)
 
     def test_empty_interval(self):
-        tr = HarvestTrace(np.full(10, 1e-3), resolution_s=60.0)
-        assert harvest_energy(tr, 42.0, 42.0, 1.0) == 0.0
+        acct = account(np.full(10, 1e-3))
+        acct.integrate(42.0, 0.0, "sleep", True)
+        before = acct.ledger.e_in
+        assert acct.integrate(42.0, 0.0, "sleep", True) is None
+        assert acct.ledger.e_in == before
+        assert acct.clock_s == 42.0
 
     def test_zero_trace_any_window(self):
-        tr = HarvestTrace(np.zeros(100), resolution_s=60.0)
-        assert harvest_energy(tr, 0.0, 6000.0, 1.0) == 0.0
+        acct = account(np.zeros(100))
+        acct.integrate(6000.0, 0.0, "sleep", True)
+        assert acct.ledger.e_in == 0.0
 
     def test_charge_efficiency_scales(self):
-        tr = HarvestTrace(np.full(10, 1e-3), resolution_s=60.0)
-        assert harvest_energy(tr, 0.0, 100.0, 0.85) == pytest.approx(0.085)
+        acct = account(np.full(10, 1e-3),
+                       params=EnergyParams(charge_efficiency=0.85))
+        acct.integrate(100.0, 0.0, "sleep", True)
+        assert acct.ledger.e_in == pytest.approx(0.085)
 
-    def test_outside_span_rejected(self):
-        tr = HarvestTrace(np.full(10, 1e-3), resolution_s=60.0)
-        with pytest.raises(ValueError):
-            harvest_energy(tr, 0.0, 601.0, 1.0)
-        with pytest.raises(ValueError):
-            harvest_energy(tr, -1.0, 10.0, 1.0)
+    def test_no_harvest_beyond_the_span(self):
+        acct = account(np.full(10, 1e-3))
+        acct.integrate(1000.0, 0.0, "sleep", True)
+        assert acct.ledger.e_in == pytest.approx(0.6)
 
     def test_piecewise_constant_partial_samples(self):
-        tr = HarvestTrace([1e-3, 3e-3], resolution_s=60.0)
+        acct = account([1e-3, 3e-3])
+        acct.integrate(30.0, 0.0, "sleep", True)
+        before = acct.ledger.e_in
         # 30 s of the first sample, 30 s of the second
-        assert tr.energy_between(30.0, 90.0) == pytest.approx(
+        acct.integrate(90.0, 0.0, "sleep", True)
+        assert acct.ledger.e_in - before == pytest.approx(
             1e-3 * 30 + 3e-3 * 30
         )
 
     def test_interval_energies_partition_the_span(self):
         rng = np.random.default_rng(3)
-        tr = HarvestTrace(rng.uniform(0, 5e-3, size=123), resolution_s=60.0)
-        parts = tr.interval_energies(30.0)
-        assert parts.sum() == pytest.approx(tr.energy_between(0, tr.span_s))
-        assert parts[0] == pytest.approx(tr.energy_between(0, 30.0))
+        samples = rng.uniform(0, 5e-3, size=123)
+        whole = account(samples, e0=0.0, capacity_b=1e3)
+        whole.integrate(123 * 60.0, 0.0, "sleep", True)
+        steps = account(samples, e0=0.0, capacity_b=1e3)
+        steps.integrate(30.0, 0.0, "sleep", True)
+        assert steps.ledger.e_in == pytest.approx(samples[0] * 30.0)
+        for k in range(2, 247):
+            steps.integrate(k * 30.0, 0.0, "sleep", True)
+        assert steps.ledger.e_in == pytest.approx(whole.ledger.e_in,
+                                                  rel=1e-12)
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             HarvestTrace([-1e-3], resolution_s=60.0)
+
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HarvestTrace([1e-3, bad], resolution_s=60.0)
 
 
 class TestConsume:
@@ -144,32 +180,44 @@ class TestConsume:
         assert led.total_drawn == 0.0
 
 
+def _one_node_run(initial_j, harvest_w=0.0, horizon_s=1800.0):
+    sc = replace(flat_scenario(1, harvest_w=harvest_w, horizon_s=horizon_s),
+                 initial_charge_j=initial_j)
+    return simulate_run(sc, "ewan", master_seed=11)
+
+
 class TestReactiveDecision:
+    """The reactive energy manager as ProtocolRun runs it: the default
+    start threshold is 0.115 J."""
+
     def test_surpassing_threshold_starts(self):
-        sto = EnergyStorage(e_cap=0.116)
-        assert (
-            reactive_decision(sto, PARAMS, False)
-            is ReactiveAction.START_COMMUNICATING
-        )
+        res = _one_node_run(0.116)
+        assert res.transitions[0] == (0.0, 1, "off", "bootstrapping",
+                                      "energy_start")
 
     def test_below_threshold_stays_off(self):
-        sto = EnergyStorage(e_cap=0.114)
-        assert reactive_decision(sto, PARAMS, False) is ReactiveAction.STAY_OFF
+        res = _one_node_run(0.114)
+        assert res.transitions == []
+        assert res.active_intervals[1] == []
 
     def test_threshold_comparison_is_strict(self):
-        sto = EnergyStorage(e_cap=0.115)
-        assert reactive_decision(sto, PARAMS, False) is ReactiveAction.STAY_OFF
+        # a charge exactly at the threshold with no harvest never starts
+        res = _one_node_run(0.115)
+        assert res.transitions == []
+        assert res.active_intervals[1] == []
 
     def test_depletion_powers_off(self):
-        sto = EnergyStorage(e_cap=0.0)
-        assert reactive_decision(sto, PARAMS, True) is ReactiveAction.POWER_OFF
+        res = _one_node_run(0.116, horizon_s=6 * 3600.0)
+        offs = [(t, why) for t, _, _, new, why in res.transitions
+                if new == "off"]
+        assert offs and all(why == "energy_depleted" for _, why in offs)
+        assert res.final_storage_j[1] == 0.0
+        assert res.active_intervals[1] == [(0.0, offs[0][0])]
 
     def test_keeps_communicating_above_zero(self):
-        sto = EnergyStorage(e_cap=0.01)
-        assert (
-            reactive_decision(sto, PARAMS, True)
-            is ReactiveAction.KEEP_COMMUNICATING
-        )
+        res = _one_node_run(0.7, harvest_w=2e-3)
+        assert all(new != "off" for _, _, _, new, _ in res.transitions)
+        assert res.active_intervals[1] == [(0.0, 1800.0)]
 
 
 class TestPerActivityEnergy:
@@ -203,50 +251,49 @@ class TestPerActivityEnergy:
 
 
 class TestLedgerConservation:
+    """NodeAccount's ledger closes: e_in = storage delta + drawn + waste."""
+
     def test_week_of_steps_conserves_to_nanojoule(self):
-        # 7 days of 30 s steps: harvest, sleep draw, occasional bursts
+        # 7 days of 30 s steps: harvest, sleep draw, occasional tx bursts
+        # that may empty the store
         rng = np.random.default_rng(11)
-        led = EnergyLedger()
-        sto = EnergyStorage(e_cap=0.3)
-        initial = sto.e_cap
-        n_steps = 7 * 24 * 3600 // 30
-        died_count = 0
-        for k in range(n_steps):
-            apply_harvest(led, sto, float(rng.uniform(0, 2e-3)) * 30)
-            consume(led, sto, "sleep", PARAMS.p_sleep * 30, 0.9)
+        acct = account(rng.uniform(0, 2e-3, size=7 * 24 * 60), e0=0.3)
+        for k in range(7 * 24 * 3600 // 30):
             if k % 10 == 0:
-                if consume(led, sto, "tx", float(rng.uniform(0, 5e-3)), 0.9):
-                    died_count += 1
-        assert abs(led.conservation_error(initial, sto.e_cap)) < 1e-9
+                acct.integrate(acct.clock_s + float(rng.uniform(0, 0.5)),
+                               0.09, "tx", True)
+            acct.integrate((k + 1) * 30.0, PARAMS.p_sleep, "sleep", False)
+        assert acct.clock_s == 7 * 24 * 3600.0
+        assert abs(acct.ledger.conservation_error(0.3, acct.storage.e_cap)) \
+            < 1e-9
 
     def test_waste_recorded_on_overflow(self):
-        led = EnergyLedger()
-        sto = EnergyStorage(e_cap=0.65)
-        wasted = apply_harvest(led, sto, 0.1)
-        assert sto.e_cap == pytest.approx(0.7)
-        assert wasted == pytest.approx(0.05)
-        assert led.e_wasted == pytest.approx(0.05)
-        assert led.e_in == pytest.approx(0.1)
-        assert abs(led.conservation_error(0.65, sto.e_cap)) < 1e-15
+        acct = account(np.full(10, 1e-3), e0=0.65)
+        acct.integrate(100.0, 0.0, "sleep", True)
+        assert acct.storage.e_cap == 0.7
+        assert acct.ledger.e_wasted == pytest.approx(0.05)
+        assert acct.ledger.e_in == pytest.approx(0.1)
+        assert abs(acct.ledger.conservation_error(0.65, acct.storage.e_cap)) \
+            < 1e-15
 
-    @given(st.lists(
-        st.tuples(
-            st.sampled_from(["harvest", "tx", "sleep", "idle"]),
-            st.floats(min_value=0, max_value=0.2),
-        ),
-        max_size=60,
-    ))
+    @given(
+        samples=st.lists(st.floats(min_value=0, max_value=2e-2),
+                         min_size=1, max_size=12),
+        ops=st.lists(st.tuples(
+            st.floats(min_value=0, max_value=120.0),
+            st.sampled_from([0.0, PARAMS.p_sleep, PARAMS.p_idle, 0.09]),
+            st.sampled_from(["tx", "sleep", "idle"]),
+            st.booleans(),
+        ), max_size=60),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_storage_stays_bounded_and_conserves(self, ops):
-        led = EnergyLedger()
-        sto = EnergyStorage(e_cap=0.35)
-        for kind, amount in ops:
-            if kind == "harvest":
-                apply_harvest(led, sto, amount)
-            else:
-                consume(led, sto, kind, amount, 0.9)
-            assert 0.0 <= sto.e_cap <= sto.capacity_b
-        assert abs(led.conservation_error(0.35, sto.e_cap)) < 1e-12
+    def test_storage_stays_bounded_and_conserves(self, samples, ops):
+        acct = account(samples)
+        for gap, p_load, category, die in ops:
+            acct.integrate(acct.clock_s + gap, p_load, category, die)
+            assert 0.0 <= acct.storage.e_cap <= acct.storage.capacity_b
+        assert abs(acct.ledger.conservation_error(0.35, acct.storage.e_cap)) \
+            < 1e-12
 
     def test_richer_trace_never_leaves_less_energy(self):
         # same consumption schedule, pointwise-greater harvest
@@ -254,15 +301,13 @@ class TestLedgerConservation:
         draws = rng.uniform(0, 4e-3, size=500)
         lo_trace = rng.uniform(0, 2e-3, size=500)
         hi_trace = lo_trace + rng.uniform(0, 1e-3, size=500)
-        lo = EnergyStorage(e_cap=0.2)
-        hi = EnergyStorage(e_cap=0.2)
-        led_lo, led_hi = EnergyLedger(), EnergyLedger()
+        lo = account(lo_trace, e0=0.2)
+        hi = account(hi_trace, e0=0.2)
         for k in range(500):
-            apply_harvest(led_lo, lo, float(lo_trace[k]))
-            apply_harvest(led_hi, hi, float(hi_trace[k]))
-            consume(led_lo, lo, "tx", float(draws[k]), 0.9)
-            consume(led_hi, hi, "tx", float(draws[k]), 0.9)
-            assert hi.e_cap >= lo.e_cap - 1e-15
+            # 45 s steps straddle the 60 s trace segments
+            for acct in (lo, hi):
+                acct.integrate((k + 1) * 45.0, float(draws[k]), "tx", False)
+            assert hi.storage.e_cap >= lo.storage.e_cap - 1e-15
 
 
 class TestParamValidation:

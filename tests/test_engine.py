@@ -11,7 +11,6 @@ from ewansim.engine import (
     RandomStreams,
     SimEvent,
     SimulationError,
-    draw_gaussian,
     draw_uniform,
     to_us,
 )
@@ -55,17 +54,6 @@ class TestEventQueue:
             q.schedule(ev(t * 1_000_000))
         assert q.run_until(3_000_000, lambda e: None) == 3
         assert len(q) == 1
-
-    def test_cancelled_event_not_counted(self):
-        q = EventQueue()
-        handle = q.schedule(ev(2_000_000))
-        q.schedule(ev(1_000_000, target=7))
-
-        def handler(e: SimEvent):
-            if e.target == 7:
-                handle.cancel()
-
-        assert q.run_until(5_000_000, handler) == 1
 
     def test_handler_scheduling_past_event_propagates(self):
         q = EventQueue()
@@ -137,10 +125,6 @@ class TestRandomStreams:
         g = RandomStreams(1).stream("backoff")
         with pytest.raises(ValueError):
             draw_uniform(g, 2.0, 1.0)
-
-    def test_gaussian_zero_sigma(self):
-        g = RandomStreams(1).stream("traces")
-        assert draw_gaussian(g, -2.5, 0.0) == -2.5
 
     def test_uniform_mean_statistical(self):
         # statistical oracle: 1e5 draws from U(0,1) has mean within 0.01 of 0.5

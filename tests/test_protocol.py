@@ -12,8 +12,10 @@ from ewansim.protocol.host import (
     host_build_schedule,
     host_handle_sync_request,
 )
+from ewansim.energy import consume
+from ewansim.engine import RandomStreams, to_us
 from ewansim.protocol.params import ProtocolParams
-from ewansim.protocol.run import RunHooks, simulate_run
+from ewansim.protocol.run import ProtocolRun, RunHooks, simulate_run
 from ewansim.protocol.state import (
     NodeState,
     TransitionError,
@@ -87,11 +89,10 @@ class TestRoundTiming:
 
 class TestNodeTransition:
     def test_depletion_turns_any_powered_node_off(self):
-        for v in POWERED + (Vsn.CHARGING,):
-            s = NodeState(vsn=v, missed_schedules=1, demand=2)
+        for v in POWERED:
+            s = NodeState(vsn=v, missed_schedules=1)
             out = node_transition(s, E.ENERGY_DEPLETED, p=2)
             assert out.vsn is Vsn.OFF
-            assert out.demand == 2
             assert out.missed_schedules == 0
 
     def test_depletion_while_off_is_a_bug(self):
@@ -99,9 +100,8 @@ class TestNodeTransition:
             node_transition(NodeState(), E.ENERGY_DEPLETED, p=2)
 
     def test_energy_start_only_from_unpowered(self):
-        for v in (Vsn.OFF, Vsn.CHARGING):
-            out = node_transition(NodeState(vsn=v), E.ENERGY_START, p=2)
-            assert out.vsn is Vsn.BOOTSTRAPPING
+        out = node_transition(NodeState(vsn=Vsn.OFF), E.ENERGY_START, p=2)
+        assert out.vsn is Vsn.BOOTSTRAPPING
         for v in POWERED:
             with pytest.raises(TransitionError):
                 node_transition(NodeState(vsn=v), E.ENERGY_START, p=2)
@@ -135,9 +135,8 @@ class TestNodeTransition:
         assert node_transition(s, E.MISSED_SCHEDULE, p=2) == s
 
     def test_miss_while_unpowered_is_a_bug(self):
-        for v in (Vsn.OFF, Vsn.CHARGING):
-            with pytest.raises(TransitionError):
-                node_transition(NodeState(vsn=v), E.MISSED_SCHEDULE, p=2)
+        with pytest.raises(TransitionError):
+            node_transition(NodeState(vsn=Vsn.OFF), E.MISSED_SCHEDULE, p=2)
 
     def test_received_mh_schedule(self):
         s = NodeState(vsn=Vsn.MULTI_HOP, missed_schedules=1)
@@ -145,7 +144,7 @@ class TestNodeTransition:
             vsn=Vsn.MULTI_HOP)
         s = NodeState(vsn=Vsn.BOOTSTRAPPING)
         assert node_transition(s, E.RECEIVED_MH_SCHEDULE, p=2).vsn is Vsn.MULTI_HOP
-        for v in (Vsn.SINGLE_HOP, Vsn.OFF, Vsn.CHARGING):
+        for v in (Vsn.SINGLE_HOP, Vsn.OFF):
             with pytest.raises(TransitionError):
                 node_transition(NodeState(vsn=v), E.RECEIVED_MH_SCHEDULE, p=2)
 
@@ -178,12 +177,6 @@ class TestNodeTransition:
         for v in (Vsn.MULTI_HOP, Vsn.BOOTSTRAPPING):
             with pytest.raises(TransitionError):
                 node_transition(NodeState(vsn=v), E.SAMPLED_MH_SUCCESS, p=2)
-
-    def test_demand_survives_a_power_cycle(self):
-        s = NodeState(vsn=Vsn.MULTI_HOP, demand=3)
-        s = node_transition(s, E.ENERGY_DEPLETED, p=2)
-        s = node_transition(s, E.ENERGY_START, p=2)
-        assert (s.vsn, s.demand) == (Vsn.BOOTSTRAPPING, 3)
 
     @given(
         events=st.lists(st.sampled_from(list(TransitionEvent)), max_size=60),
@@ -236,7 +229,9 @@ class TestScheduleBook:
             book.enqueue_demand(n)
         assert book.prune_and_fill() == (1, 2)
         assert book.waiting == (3, 4)
-        book.drop(1)
+        # node 1 stays dataless for p rounds, which frees its slot
+        for _ in range(2):
+            book.observe_round([2])
         assert book.prune_and_fill() == (2, 3)
         assert book.waiting == (4,)
 
@@ -249,24 +244,15 @@ class TestScheduleBook:
         assert book.prune_and_fill() == (1,)
         assert book.waiting == ()
 
-    def test_drop_clears_both_lists(self):
-        book = ScheduleBook(max_slots=1, p=2)
-        book.enqueue_demand(1)
-        book.enqueue_demand(2)
-        book.prune_and_fill()
-        book.drop(1)
-        book.drop(2)
-        assert book.prune_and_fill() == ()
-
     def test_sample_flag_every_m_single_hop_rounds(self):
         book = ScheduleBook(max_slots=15, p=2)
         flags = [
-            host_build_schedule(book, [], PARAMS, "single_hop", k, 5.0 + 300 * k,
+            host_build_schedule(book, PARAMS, "single_hop", k, 5.0 + 300 * k,
                                 300.0 * (k + 1)).sample_multihop
             for k in range(4)
         ]
         assert flags == [True, False, True, False]
-        mh = host_build_schedule(book, [], PARAMS, "multi_hop", 0, 0.0, 5.0)
+        mh = host_build_schedule(book, PARAMS, "multi_hop", 0, 0.0, 5.0)
         assert mh.sample_multihop is False
 
     def test_schedule_rejects_duplicate_slots(self):
@@ -349,10 +335,76 @@ class TestContendingSyncRequests:
         assert delivered.get(2, 0) >= 1
 
 
+class TestCarefulRound:
+    def test_member_dies_between_slots_and_leaves_the_round(self):
+        # two members without harvest; node 2 owns the first data slot and
+        # node 1 the second. Just before multi-hop round k, node 1 is
+        # drained to 1.5x the cost of its first-schedule flood: it survives
+        # that flood but not the round, which is careful (slot by slot)
+        sc = flat_scenario(2, harvest_w=0.0, horizon_s=3600.0)
+        streams = RandomStreams(11, 0)
+        run = ProtocolRun(
+            protocol="ewan", n_nodes=2, links_multi_hop=sc.links_multi_hop,
+            links_single_hop=sc.links_single_hop, traces=sc.traces,
+            params=sc.params, vsn_configs=sc.vsn_configs,
+            energy_params=sc.energy_params,
+            storage_capacity_j=sc.storage_capacity_j,
+            initial_charge_j=sc.initial_charge_j, horizon_s=sc.horizon_s,
+            streams=streams)
+        k = 4
+        rs = PARAMS.mh_round_start(k)
+        run.queue.run_until(to_us(rs) - 1, run._handle)
+        assert run.members_mh == {1, 2}
+        assert run.book_mh.assigned == (2, 1)
+
+        layout = run.mh_layout
+        sched_span = layout.schedule_slot + layout.gap
+        re = rs + layout.round_duration(2)
+        acct = run.accounts[1]
+        acct.advance(rs, run.load_sleep)
+        first = run._flood("sched", {0: 0}, frozenset({0, 1, 2}),
+                           PARAMS.schedule_payload_mh)
+        li, tx, idl = first.radio_times(sched_span, layout.toa_schedule)[1]
+        eff = run.eparams.buck_efficiency
+        target = 1.5 * (li * run.load_mh.listen[0] + tx * run.load_mh.tx[0]
+                        + idl * run.eparams.p_idle) / eff
+        assert target < run.mh_fragile_j
+        consume(acct.ledger, acct.storage, "sleep",
+                (acct.storage.e_cap - target) * eff, eff)
+
+        floods = []
+        flood = run._flood
+
+        def spy(kind, initiators, participants, payload):
+            floods.append((run.nstate[1].vsn, 1 in participants))
+            return flood(kind, initiators, participants, payload)
+
+        run._flood = spy
+        before = acct.drawn_snapshot()
+        run.queue.run_until(to_us(rs), run._handle)
+        after = acct.drawn_snapshot()
+
+        (t_death,) = [t for t, n, _, new, _ in run.transitions
+                      if n == 1 and new == "off"]
+        assert rs + sched_span <= t_death < re
+        stats = run.records[-1].nodes[1]
+        assert run.records[-1].round_index == k
+        assert stats.received_first_schedule
+        # its own data slot came after its death
+        assert stats.packets_attempted == 0
+        after_death = [inside for vsn, inside in floods if vsn is Vsn.OFF]
+        assert after_death and not any(after_death)
+        assert stats.energy_by_category == {
+            "tx": after[0] - before[0], "listen": after[1] - before[1],
+            "idle": after[2] - before[2]}
+
+        res = run.run()
+        for n, err in res.conservation_j.items():
+            assert abs(err) < 1e-9, n
+
+
 class TestSharedHarvestAcrossProtocols:
     def test_drawn_traces_are_bitwise_identical(self):
-        from ewansim.engine import RandomStreams
-
         rng = np.random.default_rng(7)
         sc = build_scenario("fh", rho=0.0, stream=rng, days=1)
         # the trace stream depends only on (master seed, run index), so
