@@ -1,18 +1,21 @@
 """Monte Carlo campaigns: repeated runs, shared traces, aggregation.
 
-Run i of every protocol draws its harvesting traces from a stream that
-depends only on (master_seed, i), so protocols compared at the same run
-index experience identical harvesting conditions.
+The harvesting traces of run i depend only on (master_seed, i). A
+campaign draws them once per run index and simulates every protocol on
+them, so protocols compared at the same run index experience identical
+harvesting conditions. Every other random stream of a run is seeded
+afresh per protocol, exactly as a lone simulate_run would seed it.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .engine import RandomStreams
 from .metrics import METRIC_NAMES, NodeMetrics, compute_all_metrics
 from .protocol.run import PROTOCOLS, simulate_run
 
@@ -44,20 +47,34 @@ class CampaignResult:
 
 
 def run_campaign(scenario, protocols: Sequence[str], n_runs: int,
-                 master_seed: int) -> CampaignResult:
-    """Simulate every protocol n_runs times and keep only the metrics."""
+                 master_seed: int,
+                 on_run_done: Optional[Callable[[int, int], None]] = None,
+                 ) -> CampaignResult:
+    """Simulate every protocol n_runs times and keep only the metrics.
+
+    Run indices are the outer loop: the traces of run i are drawn once
+    and shared by every protocol. on_run_done(i, n_runs) is called after
+    the last protocol of run i.
+    """
     protocols = tuple(protocols)
-    for p in protocols:
+    for j, p in enumerate(protocols):
         if p not in PROTOCOLS:
             raise ValueError(f"unknown protocol: {p}")
+        if p in protocols[:j]:
+            raise ValueError(f"protocol {p} is given twice")
     if n_runs < 1:
         raise ValueError("a campaign needs at least one run")
     out = CampaignResult(protocols=protocols, n_runs=n_runs,
                          master_seed=master_seed, n_nodes=scenario.n_nodes)
-    for protocol in protocols:
-        for i in range(n_runs):
-            result = simulate_run(scenario, protocol, master_seed, run_index=i)
+    for i in range(n_runs):
+        traces = scenario.traces_for_run(
+            RandomStreams(master_seed, i).stream("traces"))
+        for protocol in protocols:
+            result = simulate_run(scenario, protocol, master_seed,
+                                  run_index=i, traces=traces)
             out.runs[(protocol, i)] = compute_all_metrics(result)
+        if on_run_done is not None:
+            on_run_done(i, n_runs)
     return out
 
 

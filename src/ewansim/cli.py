@@ -113,7 +113,12 @@ def _cmd_campaign(args) -> int:
     if not protocols:
         raise ScenarioError("no protocols given")
     out = _out_dir(args.out)
-    result = run_campaign(scenario, protocols, args.runs, args.seed)
+
+    def progress(i: int, n_runs: int):
+        print(f"run {i + 1}/{n_runs} done", file=sys.stderr)
+
+    result = run_campaign(scenario, protocols, args.runs, args.seed,
+                          on_run_done=progress)
     for path in write_campaign_csvs(result, out):
         print(path)
     return 0

@@ -369,5 +369,5 @@ class NodeAccount:
         return float(arr[i]) if i < arr.size else float("inf")
 
     def drawn_snapshot(self) -> tuple[float, float, float]:
-        led = self.ledger
-        return (led.drawn("tx"), led.drawn("listen"), led.drawn("idle"))
+        cats = self.ledger._cats
+        return (cats["tx"].total, cats["listen"].total, cats["idle"].total)

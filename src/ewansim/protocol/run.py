@@ -17,11 +17,11 @@ clamp waste, to sub-nanojoule error over a week.
 Rounds are processed atomically at their start time. Both round
 handlers book their participants' energy through one _RoundAccountant:
 each node's per-slot radio time is summed into [listen, tx, idle] and
-applied as a few account advances at the round end. When a
-participant's storage is below a conservative worst-case round cost,
-the round is careful instead: every live node is flushed at each slot
-end, so deaths take effect between slots and remove the node from
-subsequent slots.
+applied as a few account advances at the round end. A participant whose
+storage is below a conservative worst-case round cost (a whole round at
+transmit power) is fragile: only fragile nodes are flushed at each slot
+end, so a death takes effect between slots and removes the node from
+later slots. Any other node cannot die within the round.
 """
 from __future__ import annotations
 
@@ -89,11 +89,11 @@ class _RoundAccountant:
     """Energy of one round's participants, shared by both round handlers.
 
     A handler adds each node's radio time to its [listen, tx, idle] cost
-    list; flush() books the list in that order. An aggregated round
-    flushes each node once, at the round end. A careful round (set by
-    the handler when some participant's storage is below a worst-case
-    round cost) flushes every live node at each slot end through
-    settle(), so a death takes effect before the node's next slot.
+    list; flush() books the list in that order. The handler puts in
+    fragile the participants whose storage is below a worst-case round
+    cost; settle() flushes the live fragile nodes at each slot end, so
+    a death takes effect before the node's next slot. Every other node
+    is flushed once, at the round end.
     """
 
     def __init__(self, run: "ProtocolRun", record: RoundRecord,
@@ -107,7 +107,7 @@ class _RoundAccountant:
         self.costs = {n: [0.0, 0.0, 0.0] for n in present}
         self.snapshots = {n: run.accounts[n].drawn_snapshot()
                           for n in present}
-        self.careful = False
+        self.fragile: set[int] = set()
 
     def flush(self, n: int, end_t: Optional[float] = None) -> bool:
         """Book node n's pending listen, then tx, then idle until end_t
@@ -136,9 +136,11 @@ class _RoundAccountant:
                 alive.remove(n)
 
     def settle(self, alive: list[int], t: float):
-        """A slot ended at t: a careful round flushes the live nodes."""
-        if self.careful:
-            self.flush_all(alive, t)
+        """A slot ended at t: flush the live fragile nodes."""
+        if self.fragile:
+            for n in [n for n in alive if n in self.fragile]:
+                if self.flush(n, t):
+                    alive.remove(n)
 
     def close(self, received: Mapping[int, bool], delivered: set[int],
               attempted: set[int], n_slots: int):
@@ -308,7 +310,7 @@ class ProtocolRun:
 
         # conservative per-round storage costs that guarantee survival
         eff = eparams.buck_efficiency
-        (rx_mh, _), (tx_mh, _) = self.load_mh
+        tx_mh = self.load_mh.tx[0]
         (rx_sh, _), (tx_sh, _) = self.load_sh
         mh_dur = self.mh_layout.max_round_duration(params)
         sh_dur = self.sh_layout.max_round_duration(params)
@@ -319,7 +321,6 @@ class ProtocolRun:
         self.sh_fragile_j = 1.05 * (
             rx_sh * sh_listen + tx_sh * sh_tx + eparams.p_idle * sh_dur
         ) / eff + 1e-3
-        self.mhb_listen_fragile_j = 1.05 * rx_mh * mh_dur / eff + 1e-3
         # a data-slot owner must afford its own full transmit budget
         self.mh_owner_tx_j = ((params.flood_retx + 1)
                               * self.mh_layout.toa_data * tx_mh / eff)
@@ -756,12 +757,8 @@ class ProtocolRun:
                 # severed this round: listened to the whole slot for nothing
                 costs[n][0] += layout.schedule_slot
 
-        acc.careful = any(
-            self.accounts[n].storage.e_cap < self.mh_fragile_j for n in R
-        ) or any(
-            self.accounts[n].storage.e_cap < self.mhb_listen_fragile_j
-            for n in passive_stay
-        )
+        acc.fragile = {n for n in R if self.accounts[n].storage.e_cap
+                       < self.mh_fragile_j}
 
         # leavers are done after the first schedule slot
         for n in leavers:
@@ -784,7 +781,7 @@ class ProtocolRun:
             res = None
             toa = layout.toa_data
             if kind == "data":
-                if owner in R_alive and (not acc.careful or
+                if owner in R_alive and (owner not in acc.fragile or
                         self.accounts[owner].storage.e_cap
                         > self.mh_owner_tx_j):
                     res = self._flood("data", {owner: owner}, alive_set,
@@ -817,9 +814,8 @@ class ProtocolRun:
             t_cursor += span
             acc.settle(R_alive, t_cursor)
 
-        # a careful round settled every live node at the last slot end
-        if not acc.careful:
-            acc.flush_all(R_alive, re)
+        # the fragile nodes were settled at the last slot end
+        acc.flush_all([n for n in R_alive if n not in acc.fragile], re)
         for n in passive_stay:
             d = self.accounts[n].advance(re, self.load_mh.listen)
             if d is not None:
@@ -914,8 +910,8 @@ class ProtocolRun:
                 acc.flush(n)
 
         contenders = [n for n in R if sched.slot_of(n) is None]
-        acc.careful = any(self.accounts[n].storage.e_cap < self.sh_fragile_j
-                          for n in R)
+        acc.fragile = {n for n in R if self.accounts[n].storage.e_cap
+                       < self.sh_fragile_j}
         R_alive = list(R)
         t_cursor = rs + layout.schedule_slot + layout.gap
         acc.settle(R_alive, t_cursor)
@@ -1059,15 +1055,18 @@ def simulate_run(
     run_index: int = 0,
     hooks: Optional[RunHooks] = None,
     collect_events: bool = False,
+    traces: Optional[Mapping[int, HarvestTrace]] = None,
 ) -> RunResult:
     """Run one protocol over one scenario with one seeded stream set.
 
     The harvest traces are drawn from the trace stream, which depends
     only on (master_seed, run_index), so different protocols simulated
     with the same seed and run index see identical harvest conditions.
+    A caller that already drew them passes them as traces (read only).
     """
     streams = RandomStreams(master_seed, run_index)
-    traces = scenario.traces_for_run(streams.stream("traces"))
+    if traces is None:
+        traces = scenario.traces_for_run(streams.stream("traces"))
     run = ProtocolRun(
         protocol=protocol,
         n_nodes=scenario.n_nodes,

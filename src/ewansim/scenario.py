@@ -434,6 +434,10 @@ def verify_scenario(scenario: Scenario) -> List[str]:
             tr = scenario.traces[v]
             if np.any(tr.samples < 0):
                 out.append(f"trace for node {v} has negative power samples")
+            span = tr.samples.size * tr.resolution_s
+            if span < scenario.horizon_s:
+                out.append(f"trace for node {v} covers {span:.0f} s but the "
+                           f"horizon is {scenario.horizon_s:.0f} s")
     else:
         span = scenario.trace_gen.days * DAY_S
         if span < scenario.horizon_s:

@@ -114,6 +114,31 @@ class TestCampaignCommand:
             assert filecmp.cmp(str(tmp_path / "a" / name),
                                str(tmp_path / "b" / name), shallow=False)
 
+    def test_progress_goes_to_stderr_once_per_run(self, tmp_path, capsys):
+        save_scenario(flat_scenario(1), str(tmp_path / "sc"))
+        out = str(tmp_path / "camp")
+        code = main(["campaign", "--scenario-template", str(tmp_path / "sc"),
+                     "--protocols", "ewan,single_hop", "--runs", "3",
+                     "--seed", "9", "--out", out])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "run 1/3 done", "run 2/3 done", "run 3/3 done"]
+        assert captured.out.splitlines() == [
+            os.path.join(out, "aggregate.csv"),
+            os.path.join(out, "pernode.csv")]
+
+    def test_duplicate_protocol_is_an_error_line(self, tmp_path, capsys):
+        save_scenario(flat_scenario(1), str(tmp_path / "sc"))
+        out = tmp_path / "camp"
+        code = main(["campaign", "--scenario-template", str(tmp_path / "sc"),
+                     "--protocols", "ewan,ewan", "--runs", "1",
+                     "--seed", "9", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "ewan" in err
+        assert not out.exists()
+
     def test_unknown_protocol_is_named(self, tmp_path, capsys):
         save_scenario(flat_scenario(1), str(tmp_path / "sc"))
         code = main(["campaign", "--scenario-template", str(tmp_path / "sc"),
@@ -141,6 +166,21 @@ class TestVerifyCommand:
         code = main(["verify", "--scenario", path])
         assert code == 1
         assert "long-range host link" in capsys.readouterr().err
+
+    def test_fixed_traces_shorter_than_the_horizon_fail(self, tmp_path,
+                                                         capsys):
+        path = gen(tmp_path, "fh", "--kind", "fh", "--days", "1",
+                   "--fixed-traces")
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+        doc["horizon_s"] = 259200
+        with open(path, "w") as fh:
+            yaml.safe_dump(doc, fh, sort_keys=True)
+        code = main(["verify", "--scenario", path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "trace for node 1 covers 86400 s but the horizon is 259200 s" in err
 
     def test_yaml_syntax_error_is_an_error_line(self, tmp_path, capsys):
         os.makedirs(tmp_path / "sc")

@@ -24,6 +24,7 @@ from ewansim.metrics import (
 from ewansim.protocol.params import ProtocolParams
 from ewansim.protocol.records import NodeRoundStats, RoundRecord
 from ewansim.protocol.run import RunResult, simulate_run
+from ewansim.scenario import build_scenario
 
 from helpers import flat_scenario
 from oracles import intersection_length, union_length
@@ -213,6 +214,34 @@ class TestCampaign:
             run_campaign(sc, ("lorawan",), n_runs=1, master_seed=9)
         with pytest.raises(ValueError, match="at least one run"):
             run_campaign(sc, ("ewan",), n_runs=0, master_seed=9)
+
+    def test_duplicate_protocol_is_rejected(self):
+        with pytest.raises(ValueError, match="ewan is given twice"):
+            run_campaign(flat_scenario(1), ("ewan", "ewan"), n_runs=1,
+                         master_seed=9)
+
+    def test_shared_traces_match_runs_drawing_their_own(self, tmp_path):
+        # the campaign draws each run's traces once for all protocols; a
+        # reference built from lone runs, each drawing its own, must give
+        # byte-identical CSVs
+        sc = build_scenario("fh", rho=0.0, stream=np.random.default_rng(7),
+                            days=1)
+        protocols = ("ewan", "single_hop")
+        camp = run_campaign(sc, protocols, n_runs=2, master_seed=9)
+        ref = CampaignResult(protocols=protocols, n_runs=2, master_seed=9,
+                             n_nodes=sc.n_nodes)
+        for p in protocols:
+            for i in range(2):
+                ref.runs[(p, i)] = compute_all_metrics(
+                    simulate_run(sc, p, 9, run_index=i))
+        paths = write_campaign_csvs(camp, str(tmp_path / "camp"))
+        ref_paths = write_campaign_csvs(ref, str(tmp_path / "ref"))
+        for pa, pb in zip(paths, ref_paths):
+            assert filecmp.cmp(pa, pb, shallow=False)
+
+        # a protocol run first must leave the shared traces untouched
+        swapped = run_campaign(sc, protocols[::-1], n_runs=2, master_seed=9)
+        assert swapped.runs == camp.runs
 
     def test_campaigns_with_equal_seeds_are_identical(self):
         sc = flat_scenario(2)

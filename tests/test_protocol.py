@@ -15,7 +15,8 @@ from ewansim.protocol.host import (
 from ewansim.energy import consume
 from ewansim.engine import RandomStreams, to_us
 from ewansim.protocol.params import ProtocolParams
-from ewansim.protocol.run import ProtocolRun, RunHooks, simulate_run
+from ewansim.protocol.run import (ProtocolRun, RunHooks, _RoundAccountant,
+                                  simulate_run)
 from ewansim.protocol.state import (
     NodeState,
     TransitionError,
@@ -335,27 +336,39 @@ class TestContendingSyncRequests:
         assert delivered.get(2, 0) >= 1
 
 
+def _two_members_before_mh_round(k: int) -> ProtocolRun:
+    """Two members without harvest, run up to just before multi-hop round
+    k; node 2 owns the first data slot and node 1 the second."""
+    sc = flat_scenario(2, harvest_w=0.0, horizon_s=3600.0)
+    run = ProtocolRun(
+        protocol="ewan", n_nodes=2, links_multi_hop=sc.links_multi_hop,
+        links_single_hop=sc.links_single_hop, traces=sc.traces,
+        params=sc.params, vsn_configs=sc.vsn_configs,
+        energy_params=sc.energy_params,
+        storage_capacity_j=sc.storage_capacity_j,
+        initial_charge_j=sc.initial_charge_j, horizon_s=sc.horizon_s,
+        streams=RandomStreams(11, 0))
+    run.queue.run_until(to_us(PARAMS.mh_round_start(k)) - 1, run._handle)
+    assert run.members_mh == {1, 2}
+    assert run.book_mh.assigned == (2, 1)
+    return run
+
+
+def _drain_to(run: ProtocolRun, node: int, target_j: float):
+    acct = run.accounts[node]
+    eff = run.eparams.buck_efficiency
+    consume(acct.ledger, acct.storage, "sleep",
+            (acct.storage.e_cap - target_j) * eff, eff)
+
+
 class TestCarefulRound:
     def test_member_dies_between_slots_and_leaves_the_round(self):
-        # two members without harvest; node 2 owns the first data slot and
-        # node 1 the second. Just before multi-hop round k, node 1 is
-        # drained to 1.5x the cost of its first-schedule flood: it survives
-        # that flood but not the round, which is careful (slot by slot)
-        sc = flat_scenario(2, harvest_w=0.0, horizon_s=3600.0)
-        streams = RandomStreams(11, 0)
-        run = ProtocolRun(
-            protocol="ewan", n_nodes=2, links_multi_hop=sc.links_multi_hop,
-            links_single_hop=sc.links_single_hop, traces=sc.traces,
-            params=sc.params, vsn_configs=sc.vsn_configs,
-            energy_params=sc.energy_params,
-            storage_capacity_j=sc.storage_capacity_j,
-            initial_charge_j=sc.initial_charge_j, horizon_s=sc.horizon_s,
-            streams=streams)
+        # just before multi-hop round k, node 1 is drained to 1.5x the
+        # cost of its first-schedule flood: it survives that flood but not
+        # the round, in which it is fragile (settled slot by slot)
         k = 4
         rs = PARAMS.mh_round_start(k)
-        run.queue.run_until(to_us(rs) - 1, run._handle)
-        assert run.members_mh == {1, 2}
-        assert run.book_mh.assigned == (2, 1)
+        run = _two_members_before_mh_round(k)
 
         layout = run.mh_layout
         sched_span = layout.schedule_slot + layout.gap
@@ -369,8 +382,7 @@ class TestCarefulRound:
         target = 1.5 * (li * run.load_mh.listen[0] + tx * run.load_mh.tx[0]
                         + idl * run.eparams.p_idle) / eff
         assert target < run.mh_fragile_j
-        consume(acct.ledger, acct.storage, "sleep",
-                (acct.storage.e_cap - target) * eff, eff)
+        _drain_to(run, 1, target)
 
         floods = []
         flood = run._flood
@@ -402,6 +414,53 @@ class TestCarefulRound:
         for n, err in res.conservation_j.items():
             assert abs(err) < 1e-9, n
 
+    def test_only_the_fragile_member_is_settled_per_slot(self, monkeypatch):
+        # node 1 is fragile but can afford the round; node 2 is robust
+        k = 4
+        rs = PARAMS.mh_round_start(k)
+        run = _two_members_before_mh_round(k)
+        for n in (1, 2):
+            run.accounts[n].advance(rs, run.load_sleep)
+        _drain_to(run, 1, 0.5 * run.mh_fragile_j)
+        assert run.accounts[2].storage.e_cap > run.mh_fragile_j
+
+        flushes = {1: [], 2: []}
+        flush = _RoundAccountant.flush
+
+        def spy(acc, n, end_t=None):
+            died = flush(acc, n, end_t)
+            flushes[n].append(run.accounts[n].clock_s)
+            return died
+
+        monkeypatch.setattr(_RoundAccountant, "flush", spy)
+        before = {n: run.accounts[n].drawn_snapshot() for n in (1, 2)}
+        run.queue.run_until(to_us(rs), run._handle)
+        monkeypatch.undo()
+
+        layout = run.mh_layout
+        sched_span = layout.schedule_slot + layout.gap
+        data_span = layout.data_slot + layout.gap
+        slot_ends = np.cumsum([rs + sched_span, data_span, data_span,
+                               layout.contention_slot + layout.gap,
+                               sched_span])
+        assert flushes[1] == pytest.approx(list(slot_ends), abs=1e-9)
+        assert flushes[2] == [rs + layout.round_duration(2)]
+        rec = run.records[-1]
+        assert rec.round_index == k
+        assert not any(n == 1 and new == "off"
+                       for _, n, _, new, _ in run.transitions)
+        for n in (1, 2):
+            stats = rec.nodes[n]
+            assert stats.packets_attempted == 1
+            a, b = run.accounts[n].drawn_snapshot(), before[n]
+            assert stats.energy_by_category == {
+                "tx": a[0] - b[0], "listen": a[1] - b[1],
+                "idle": a[2] - b[2]}
+
+        res = run.run()
+        for n, err in res.conservation_j.items():
+            assert abs(err) < 1e-9, n
+
 
 class TestSharedHarvestAcrossProtocols:
     def test_drawn_traces_are_bitwise_identical(self):
@@ -416,6 +475,15 @@ class TestSharedHarvestAcrossProtocols:
             assert np.array_equal(a[v].samples, b[v].samples)
         assert any(not np.array_equal(a[v].samples, c[v].samples)
                    for v in range(1, sc.n_nodes + 1))
+
+    def test_run_on_passed_traces_equals_run_drawing_its_own(self):
+        rng = np.random.default_rng(7)
+        sc = build_scenario("fh", rho=0.0, stream=rng, days=1)
+        drawn = sc.traces_for_run(RandomStreams(42, 3).stream("traces"))
+        for protocol in ("ewan", "single_hop"):
+            assert simulate_run(sc, protocol, 42, run_index=3,
+                                traces=drawn) == simulate_run(
+                sc, protocol, 42, run_index=3)
 
     def test_trace_inflow_identical_for_all_protocols(self):
         # inflow is integrated lazily along each protocol's own activity
