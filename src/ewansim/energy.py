@@ -63,8 +63,8 @@ class EnergyParams:
     def __post_init__(self):
         for name in ("e_boot", "e_com_init", "p_boot", "p_sleep", "p_idle",
                      "start_threshold", "sample_interval"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 < self.buck_efficiency <= 1.0:
             raise ValueError("buck_efficiency must be in (0, 1]")
         if not 0.0 < self.charge_efficiency <= 1.0:

@@ -41,11 +41,7 @@ def host_handle_sync_request(now_s: float, next_mh_round_start_s: float,
 class Schedule:
     """One round's first-slot broadcast."""
 
-    vsn: str  # "multi_hop" | "single_hop"
-    round_index: int
-    round_start_s: float
     assignments: tuple[int, ...]  # slot i belongs to assignments[i]
-    cross_vsn_next_round_s: float
     sample_multihop: bool = False
 
     def __post_init__(self):
@@ -105,17 +101,11 @@ def host_build_schedule(
     params: ProtocolParams,
     vsn: str,
     round_index: int,
-    round_start_s: float,
-    cross_vsn_next_round_s: float,
 ) -> Schedule:
-    """Produce the next round's schedule from the book."""
-    assignments = book.prune_and_fill()
+    """Produce round round_index's schedule of one VSN from its book.
+
+    Every m-th single-hop schedule tells its members to sample the
+    multi-hop VSN in the next multi-hop round.
+    """
     sample = vsn == "single_hop" and round_index % params.m == 0
-    return Schedule(
-        vsn=vsn,
-        round_index=round_index,
-        round_start_s=round_start_s,
-        assignments=assignments,
-        cross_vsn_next_round_s=cross_vsn_next_round_s,
-        sample_multihop=sample,
-    )
+    return Schedule(assignments=book.prune_and_fill(), sample_multihop=sample)

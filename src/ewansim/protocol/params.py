@@ -1,7 +1,8 @@
 """Protocol timing, packet sizing, and per-VSN radio configurations."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from ..radio import RadioConfig
 
@@ -40,18 +41,21 @@ class ProtocolParams:
     backoff_window: float = 60.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int" and not isinstance(getattr(self, f.name), int):
+                raise ValueError(f"{f.name} must be an integer")
         if self.p < 1 or self.m < 1:
             raise ValueError("p and m must be >= 1")
-        if self.period_t <= 0 or self.delta_t <= 0:
-            raise ValueError("period_t and delta_t must be positive")
+        if not (0 < self.period_t < math.inf and 0 < self.delta_t < math.inf):
+            raise ValueError("period_t and delta_t must be finite and positive")
         if self.delta_t >= self.period_t:
             raise ValueError("delta_t must be smaller than period_t")
         if self.flood_hops < 1 or self.flood_retx < 0:
             raise ValueError("flood geometry out of range")
         if self.max_data_slots_mh < 1 or self.max_data_slots_sh < 1:
             raise ValueError("need at least one data slot per round")
-        if self.backoff_window <= 0:
-            raise ValueError("backoff_window must be positive")
+        if not 0 < self.backoff_window < math.inf:
+            raise ValueError("backoff_window must be finite and positive")
 
     @property
     def schedule_payload_mh(self) -> int:

@@ -1,7 +1,8 @@
 """Slot geometry of communication rounds.
 
 A round is: first schedule slot, data slots, contention slot, second
-schedule slot, with a fixed gap after every slot. Multi-hop slots are
+schedule slot, with a fixed gap after every slot. Both VSNs run this one
+sequence; slot_plan lists what follows the first schedule. Multi-hop slots are
 whole floods; single-hop slots are point-to-point exchanges with the
 host (packet plus its repetition or echo). Schedule packets carry a
 fixed header plus one byte per allowed slot, so the first slot has the
@@ -11,6 +12,7 @@ the current assignment count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence, Union
 
 from ..flood import FLOOD_GUARD_S
 from ..radio import RadioConfig, time_on_air
@@ -33,6 +35,16 @@ class _RoundLayout:
             + self.schedule_slot
         )
         return slots + (n_data_slots + 3) * self.gap
+
+    def slot_plan(self, assignments: Sequence[int]
+                  ) -> list[tuple[Union[int, str], float]]:
+        """(owner or kind, span) of each slot after the first schedule:
+        one data slot per owner, then "contention", then "schedule". A
+        span includes the slot's trailing gap."""
+        data = self.data_slot + self.gap
+        return [(owner, data) for owner in assignments] + [
+            ("contention", self.contention_slot + self.gap),
+            ("schedule", self.schedule_slot + self.gap)]
 
 
 @dataclass(frozen=True)

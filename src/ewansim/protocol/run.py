@@ -14,14 +14,20 @@ harvest trace against the activity it is performing, so the per-node
 ledgers close exactly: e_in equals storage delta plus energy drawn plus
 clamp waste, to sub-nanojoule error over a week.
 
-Rounds are processed atomically at their start time. Both round
-handlers book their participants' energy through one _RoundAccountant:
-each node's per-slot radio time is summed into [listen, tx, idle] and
-applied as a few account advances at the round end. A participant whose
-storage is below a conservative worst-case round cost (a whole round at
-transmit power) is fragile: only fragile nodes are flushed at each slot
-end, so a death takes effect between slots and removes the node from
-later slots. Any other node cannot die within the round.
+Rounds are processed atomically at their start time. One executor,
+ProtocolRun._handle_round, runs every round of both VSNs: it gathers who
+attends in which role, turns the first schedule's reception into
+transitions, then walks the layout's slot plan (data slots, contention,
+second schedule). A transport supplies what differs between the VSNs:
+floods on multi-hop (_FloodTransport), point-to-point exchanges with the
+host on single-hop (_HostTransport). Energy is booked through one
+_RoundAccountant: each node's per-slot radio time is summed into
+[listen, tx, idle] and applied as a few account advances. A participant
+whose storage is below a conservative worst-case round cost (a whole
+round at transmit power) is fragile: only fragile nodes are flushed at
+each slot end, so a death takes effect between slots and removes the
+node from later slots. Any other node cannot die within the round and
+is flushed once, at the round end.
 """
 from __future__ import annotations
 
@@ -53,6 +59,7 @@ from ..radio import (
     ConcurrentAttempt,
     DEFAULT_CAPTURE_SIGMA_DB,
     DEFAULT_RAMP_DB,
+    RadioConfig,
     RadioPowerTable,
     resolve_concurrent,
     time_on_air,
@@ -86,23 +93,22 @@ class _ChannelLoads(NamedTuple):
 
 
 class _RoundAccountant:
-    """Energy of one round's participants, shared by both round handlers.
+    """Energy of one round's participants, on either VSN.
 
-    A handler adds each node's radio time to its [listen, tx, idle] cost
-    list; flush() books the list in that order. The handler puts in
-    fragile the participants whose storage is below a worst-case round
-    cost; settle() flushes the live fragile nodes at each slot end, so
-    a death takes effect before the node's next slot. Every other node
-    is flushed once, at the round end.
+    The transport adds each node's radio time to its [listen, tx, idle]
+    cost list; flush() books the list in that order. The executor puts
+    in fragile the participants whose storage is below a worst-case
+    round cost; settle() flushes the live fragile nodes at each slot end,
+    so a death takes effect before the node's next slot. Every other
+    node is flushed once, at the round end.
     """
 
-    def __init__(self, run: "ProtocolRun", record: RoundRecord,
-                 book: ScheduleBook, loads: _ChannelLoads,
+    def __init__(self, run: "ProtocolRun", record: RoundRecord, tp,
                  present: list[int]):
         self.run = run
         self.record = record
-        self.book = book
-        self.loads = loads
+        self.tp = tp
+        self.loads = tp.loads
         self.present = present
         self.costs = {n: [0.0, 0.0, 0.0] for n in present}
         self.snapshots = {n: run.accounts[n].drawn_snapshot()
@@ -129,12 +135,6 @@ class _RoundAccountant:
             return True
         return False
 
-    def flush_all(self, alive: list[int], end_t: float):
-        """Flush every node of alive to end_t; the dead leave alive."""
-        for n in list(alive):
-            if self.flush(n, end_t):
-                alive.remove(n)
-
     def settle(self, alive: list[int], t: float):
         """A slot ended at t: flush the live fragile nodes."""
         if self.fragile:
@@ -145,7 +145,7 @@ class _RoundAccountant:
     def close(self, received: Mapping[int, bool], delivered: set[int],
               attempted: set[int], n_slots: int):
         """Feed the deliveries to the book and record every participant."""
-        self.book.observe_round(delivered)
+        self.tp.book.observe_round(delivered)
         accounts = self.run.accounts
         record = self.record
         for n in self.present:
@@ -159,11 +159,202 @@ class _RoundAccountant:
                     "tx": a[0] - b[0], "listen": a[1] - b[1],
                     "idle": a[2] - b[2]},
             )
-        tag = "mh" if record.vsn == "multi_hop" else "sh"
         self.run._log(record.round_start_s,
-                      f"round {tag} k={record.round_index} slots={n_slots} "
-                      f"present={len(self.present)} "
+                      f"round {self.tp.tag} k={record.round_index} "
+                      f"slots={n_slots} present={len(self.present)} "
                       f"delivered={len(delivered)}")
+
+
+class _FloodTransport:
+    """One multi-hop round's slots as floods, booked into acc.costs.
+    Built per round, so the run never holds a transport."""
+
+    vsn, tag = "multi_hop", "mh"
+    received_event = TransitionEvent.RECEIVED_MH_SCHEDULE
+
+    def __init__(self, run: "ProtocolRun", k: int):
+        self.run = run
+        self.k = k
+        self.rs = run.params.mh_round_start(k)
+        self.layout = run.mh_layout
+        self.book = run.book_mh
+        self.loads = run.load_mh
+        self.fragile_j = run.mh_fragile_j
+
+    def gather(self) -> list[tuple[int, str]]:
+        run, k, rs = self.run, self.k, self.rs
+        members = run._advance_to(sorted(run.members_mh), rs, run.load_sleep)
+        boot = [n for n, tok in run.wait_mh.pop(k, [])
+                if run.sync_token.get(n) == tok
+                and run.nstate[n].vsn is Vsn.BOOTSTRAPPING]
+        boot = run._advance_to(boot, rs, run.load_sleep)
+        samp = [n for n in sorted(run.samplers.pop(k, set()))
+                if run.nstate[n].vsn is Vsn.SINGLE_HOP]
+        samp = run._advance_to(samp, rs, run.load_sleep)
+        listen = run._advance_to(sorted(run.mhb_listeners), rs,
+                                 self.loads.listen)
+        roles = (("member", members), ("bootstrap", boot), ("sample", samp),
+                 ("listen", listen))
+        return [(n, role) for role, nodes in roles for n in nodes]
+
+    @staticmethod
+    def _book(res: FloodResult, span: float, toa: float,
+              group: Sequence[int], costs: dict[int, list[float]]):
+        times = res.radio_times(span, toa)
+        for n in group:
+            li, tx, idl = times[n]
+            c = costs[n]
+            c[0] += li
+            c[1] += tx
+            c[2] += idl
+
+    def first_schedule(self, pairs: list[tuple[int, str]],
+                       acc: _RoundAccountant) -> dict[int, bool]:
+        run, lay, k = self.run, self.layout, self.k
+        flood_ids = frozenset([run.HOST] + [
+            n for n, _ in pairs if not run.hooks.blocked(self.vsn, n, k)])
+        res = None
+        if len(flood_ids) > 1:
+            res = run._flood("sched", {run.HOST: run.HOST}, flood_ids,
+                             run.params.schedule_payload_mh)
+        heard = res.nodes if res is not None else {}
+        received = {n: n in heard and heard[n].received for n, _ in pairs}
+        # a passive listener that heard nothing listens on to the round end
+        payers = [n for n, role in pairs if received[n] or role != "listen"]
+        if res is not None:
+            self._book(res, lay.schedule_slot + lay.gap, lay.toa_schedule,
+                       [n for n in payers if n in flood_ids], acc.costs)
+        for n in payers:
+            if n not in flood_ids:
+                # severed this round: listened to the whole slot for nothing
+                acc.costs[n][0] += lay.schedule_slot
+        return received
+
+    def _slot(self, kind: str, initiators: Mapping[int, int], payload: int,
+              toa: float, alive: list[int], span: float,
+              acc: _RoundAccountant):
+        """Flood one slot among the host and alive; the host's result."""
+        run = self.run
+        res = run._flood(kind, initiators, frozenset([run.HOST] + alive),
+                         payload)
+        self._book(res, span, toa, alive, acc.costs)
+        return res.nodes[run.HOST]
+
+    def data(self, owner: int, alive: list[int], span: float,
+             acc: _RoundAccountant) -> Optional[bool]:
+        """Whether the host got owner's packet; None if a fragile owner
+        cannot afford its own flood."""
+        run = self.run
+        if (owner in acc.fragile and run.accounts[owner].storage.e_cap
+                <= run.mh_owner_tx_j):
+            return None
+        return self._slot("data", {owner: owner}, run.params.data_payload,
+                          self.layout.toa_data, alive, span, acc).received
+
+    def contend(self, contenders: list[int], alive: list[int], span: float,
+                acc: _RoundAccountant) -> Optional[int]:
+        host = self._slot("cont", {c: c for c in contenders},
+                          CONTENTION_BYTES, self.layout.toa_contention,
+                          alive, span, acc)
+        return host.packet_id if host.received else None
+
+    def second_schedule(self, alive: list[int], span: float,
+                        acc: _RoundAccountant):
+        self._slot("sched", {self.run.HOST: self.run.HOST},
+                   self.run.params.schedule_payload_mh,
+                   self.layout.toa_schedule, alive, span, acc)
+
+
+class _HostTransport:
+    """One single-hop round's slots as point-to-point exchanges with the
+    host, booked into acc.costs. Built per round, like _FloodTransport."""
+
+    vsn, tag = "single_hop", "sh"
+    received_event = TransitionEvent.RECEIVED_SH_SCHEDULE
+
+    def __init__(self, run: "ProtocolRun", k: int):
+        self.run = run
+        self.k = k
+        self.rs = run.params.sh_round_start(k)
+        self.layout = run.sh_layout
+        self.book = run.book_sh
+        self.loads = run.load_sh
+        self.fragile_j = run.sh_fragile_j
+
+    def gather(self) -> list[tuple[int, str]]:
+        run, rs = self.run, self.rs
+        members = run._advance_to(sorted(run.members_sh), rs, run.load_sleep)
+        waiters: list[tuple[int, str]] = []
+        for n, reason, tok in run.wait_sh.pop(self.k, []):
+            st = run.nstate[n]
+            if (reason == "bootstrap" and st.vsn is Vsn.BOOTSTRAPPING
+                    and run.sync_token.get(n) == tok
+                    or reason == "mh_exit" and st.vsn is Vsn.MULTI_HOP
+                    and st.missed_schedules >= run.params.p):
+                waiters.append((n, reason))
+        alive = run._advance_to([n for n, _ in waiters], rs, run.load_sleep)
+        return ([(n, "member") for n in members]
+                + [(n, r) for n, r in waiters if n in alive])
+
+    def _hear(self, n: int, c: list[float], first: bool) -> bool:
+        """Whether n decodes one of the host's schedule copies. Books its
+        listening into cost list c, then the rest of the slot as idle,
+        except for a node that misses the first schedule: it leaves."""
+        run, lay = self.run, self.layout
+        got = False
+        listen_s = lay.schedule_slot
+        if not run.hooks.blocked(self.vsn, n, self.k):
+            p = run.p_sh_link[n]
+            for copy in range(1, lay.host_copies + 1):
+                if run._bern(p):
+                    got = True
+                    listen_s = lay.schedule_listen_until_copy(copy)
+                    break
+        c[0] += listen_s
+        if got or not first:
+            c[2] += lay.schedule_slot - listen_s + lay.gap
+        return got
+
+    def first_schedule(self, pairs: list[tuple[int, str]],
+                       acc: _RoundAccountant) -> dict[int, bool]:
+        return {n: self._hear(n, acc.costs[n], True) for n, _ in pairs}
+
+    def data(self, owner: int, alive: list[int], span: float,
+             acc: _RoundAccountant) -> bool:
+        """Send owner's packet to the host; whether the host got it."""
+        run, lay, costs = self.run, self.layout, acc.costs
+        got = (not run.hooks.blocked(self.vsn, owner, self.k)
+               and run._bern(run.p_sh_link[owner]))
+        c = costs[owner]
+        c[0] += lay.toa_data  # host repetition
+        c[1] += lay.toa_data
+        c[2] += lay.turnaround + lay.gap
+        for n in alive:
+            if n != owner:
+                costs[n][2] += span
+        return got
+
+    def contend(self, contenders: list[int], alive: list[int], span: float,
+                acc: _RoundAccountant) -> Optional[int]:
+        run, lay, costs = self.run, self.layout, acc.costs
+        heard = [n for n in contenders
+                 if not run.hooks.blocked(self.vsn, n, self.k)]
+        winner = run._host_capture(run.cfg_sh, heard) if heard else None
+        for n in contenders:
+            c = costs[n]
+            c[0] += lay.toa_contention  # winner echo
+            c[1] += lay.toa_contention
+            c[2] += lay.turnaround + lay.gap
+        for n in alive:
+            if n not in contenders:
+                costs[n][2] += span
+        return winner
+
+    def second_schedule(self, alive: list[int], span: float,
+                        acc: _RoundAccountant):
+        """A timing refresh only: never changes membership."""
+        for n in alive:
+            self._hear(n, acc.costs[n], False)
 
 
 @dataclass(frozen=True)
@@ -180,16 +371,10 @@ class RunHooks:
     blocked_single_hop: Mapping[int, Sequence[tuple[int, int]]] = field(
         default_factory=dict)
 
-    def mh_blocked(self, node: int, k: int) -> bool:
-        return _in_ranges(self.blocked_multi_hop, node, k)
-
-    def sh_blocked(self, node: int, k: int) -> bool:
-        return _in_ranges(self.blocked_single_hop, node, k)
-
-
-def _in_ranges(ranges: Mapping[int, Sequence[tuple[int, int]]], node: int,
-               k: int) -> bool:
-    return bool(ranges) and any(a <= k < b for a, b in ranges.get(node, ()))
+    def blocked(self, vsn: str, node: int, k: int) -> bool:
+        ranges = (self.blocked_multi_hop if vsn == "multi_hop"
+                  else self.blocked_single_hop)
+        return bool(ranges) and any(a <= k < b for a, b in ranges.get(node, ()))
 
 
 @dataclass
@@ -281,7 +466,6 @@ class ProtocolRun:
 
         self.sh_enabled = protocol in ("ewan", "single_hop")
         self.has_mh = protocol in ("ewan", "drb", "multi_hop")
-        self.has_sh = protocol in ("ewan", "single_hop")
 
         self.cfg_boot = vsn_configs.bootstrap
         self.cfg_mh = vsn_configs.multi_hop
@@ -371,7 +555,7 @@ class ProtocolRun:
                 self.queue.schedule(SimEvent(
                     to_us(start), self.HOST, EventKind.ROUND_START,
                     ("multi_hop", k)))
-            if self.has_sh:
+            if self.sh_enabled:
                 sh_start = self.params.sh_round_start(k)
                 if sh_start < self.horizon_s:
                     self.queue.schedule(SimEvent(
@@ -501,7 +685,7 @@ class ProtocolRun:
         cands = []
         if self.has_mh:
             cands.append(self.params.next_mh_round_after(t)[1])
-        if self.has_sh:
+        if self.sh_enabled:
             cands.append(self.params.next_sh_round_after(t)[1])
         return min(cands) if cands else float("inf")
 
@@ -540,16 +724,7 @@ class ProtocolRun:
                     and exchange_end + 1e-3 <= next_round)
         winner: Optional[int] = None
         if answered:
-            attempts = [
-                ConcurrentAttempt(
-                    packet_id=m, sender=m,
-                    rx_power_dbm=self.cfg_boot.tx_power_dbm
-                    - self.links_sh.loss_db(self.HOST, m))
-                for m, _ in survivors
-            ]
-            got = resolve_concurrent(
-                attempts, self.cfg_boot.sensitivity_dbm, self.ramp_db,
-                self.sigma_db, self._rx)
+            got = self._host_capture(self.cfg_boot, [m for m, _ in survivors])
             self.host_busy_until = max(self.host_busy_until, exchange_end)
             if got is not None and self._bern(self.p_boot_link[got]):
                 winner = got
@@ -563,10 +738,13 @@ class ProtocolRun:
             if m == winner:
                 self._register_synced(m, listen_end)
             else:
-                retry = listen_end + draw_uniform(
-                    self._backoff, 0.0, self.params.backoff_window)
                 self._log(t, f"sync_fail node={m}")
-                self._schedule_sync(m, retry)
+                self._retry_sync(m, listen_end)
+
+    def _retry_sync(self, node: int, t: float):
+        """Request sync again after a random backoff from t."""
+        self._schedule_sync(node, t + draw_uniform(
+            self._backoff, 0.0, self.params.backoff_window))
 
     def _register_synced(self, node: int, t: float):
         if self.protocol in ("ewan", "drb"):
@@ -579,6 +757,16 @@ class ProtocolRun:
             k1, _ = self.params.next_sh_round_after(t)
             self.wait_sh[k1].append((node, "bootstrap", self.sync_token[node]))
             self._log(t, f"sync_ok node={node} sh_round={k1}")
+
+    def _host_capture(self, cfg: RadioConfig,
+                      nodes: Sequence[int]) -> Optional[int]:
+        """Which of nodes' concurrent transmissions on cfg's channel the
+        host decodes, if any."""
+        attempts = [ConcurrentAttempt(packet_id=n, sender=n, rx_power_dbm=(
+            cfg.tx_power_dbm - self.links_sh.loss_db(self.HOST, n)))
+            for n in nodes]
+        return resolve_concurrent(attempts, cfg.sensitivity_dbm,
+                                  self.ramp_db, self.sigma_db, self._rx)
 
     def _bern(self, p: float) -> bool:
         if p >= 1.0:
@@ -616,362 +804,128 @@ class ProtocolRun:
         return res
 
     # ------------------------------------------------------------------
-    # multi-hop rounds (shared by ewan, drb, multi_hop)
+    # rounds (both VSNs)
 
-    def _gather(self, entries: Sequence[int], rs: float,
-                load: tuple[float, str]) -> list[int]:
+    def _advance_to(self, entries: Sequence[int], t: float,
+                     load: tuple[float, str]) -> list[int]:
+        """Advance each node's account to t under load; the survivors."""
         alive = []
         for n in entries:
-            d = self.accounts[n].advance(rs, load)
+            d = self.accounts[n].advance(t, load)
             if d is not None:
                 self._kill(n, d)
             else:
                 alive.append(n)
         return alive
 
-    def _open_round(self, vsn: str, k: int, rs: float, present: list[int],
-                    book: ScheduleBook,
-                    loads: _ChannelLoads) -> Optional[_RoundAccountant]:
-        """Record round k; None if nobody is present to account for."""
-        record = RoundRecord(vsn=vsn, round_index=k, round_start_s=rs)
-        self.records.append(record)
-        if not present:
-            book.observe_round(())
-            return None
-        return _RoundAccountant(self, record, book, loads, present)
-
-    def _handle_mh_round(self, k: int, rs: float):
-        params = self.params
-        layout = self.mh_layout
-
-        members = self._gather(sorted(self.members_mh), rs, self.load_sleep)
-        boot_raw = self.wait_mh.pop(k, [])
-        boot = [n for n, tok in boot_raw
-                if self.sync_token.get(n) == tok
-                and self.nstate[n].vsn is Vsn.BOOTSTRAPPING]
-        boot = self._gather(boot, rs, self.load_sleep)
-        samp = [n for n in sorted(self.samplers.pop(k, set()))
-                if self.nstate[n].vsn is Vsn.SINGLE_HOP]
-        samp = self._gather(samp, rs, self.load_sleep)
-        passive = self._gather(sorted(self.mhb_listeners), rs,
-                               self.load_mh.listen)
-
-        if self.protocol == "ewan":
-            cross = params.sh_round_start(k)
-        else:
-            cross = params.mh_round_start(k + 1)
-        sched = host_build_schedule(self.book_mh, params, "multi_hop",
-                                    k, rs, cross)
+    def _handle_round(self, tp, k: int):
+        """Round k of tp's VSN: roles from the first schedule's reception,
+        then the slot plan, booking every participant's energy."""
+        layout = tp.layout
+        rs = tp.rs
+        pairs = tp.gather()
+        sched = host_build_schedule(tp.book, self.params, tp.vsn, k)
         n_slots = len(sched.assignments)
         re = rs + layout.round_duration(n_slots)
         self.host_busy_until = max(self.host_busy_until, re)
+        sample = sched.sample_multihop and self.protocol == "ewan"
 
-        present = members + boot + samp + passive
-        acc = self._open_round("multi_hop", k, rs, present, self.book_mh,
-                               self.load_mh)
-        if acc is None:
+        record = RoundRecord(vsn=tp.vsn, round_index=k, round_start_s=rs)
+        self.records.append(record)
+        if not pairs:
+            tp.book.observe_round(())
             return
-        costs = acc.costs
-
-        blocked = {n for n in present if self.hooks.mh_blocked(n, k)}
-        flood_ids = frozenset(
-            [self.HOST] + [n for n in present if n not in blocked])
-        sched_res = None
-        if len(flood_ids) > 1:
-            sched_res = self._flood("sched", {self.HOST: self.HOST},
-                                    flood_ids, params.schedule_payload_mh)
-
-        heard = sched_res.nodes if sched_res is not None else {}
-        received = {n: n in heard and heard[n].received for n in present}
-
-        sched_span = layout.schedule_slot + layout.gap
-
-        def add_flood_costs(res: FloodResult, span: float, toa: float,
-                            group: Sequence[int]):
-            times = res.radio_times(span, toa)
-            for n in group:
-                li, tx, idl = times[n]
-                c = costs[n]
-                c[0] += li
-                c[1] += tx
-                c[2] += idl
+        acc = _RoundAccountant(self, record, tp, [n for n, _ in pairs])
+        received = tp.first_schedule(pairs, acc)
 
         # roles after the first schedule
-        R: list[int] = []
+        leave_t = rs + layout.schedule_slot
+        alive: list[int] = []
         leavers: list[int] = []
-        for n in members:
+        stay: list[int] = []  # passive listeners that heard nothing
+        for n, role in pairs:
             if received[n]:
-                self._transition(n, TransitionEvent.RECEIVED_MH_SCHEDULE, rs)
-                R.append(n)
-            else:
-                st = self._transition(n, TransitionEvent.MISSED_SCHEDULE, rs)
-                self._log(rs, f"sched_miss node={n} vsn=mh k={k} "
-                              f"missed={st.missed_schedules}")
-                leavers.append(n)
-                if st.vsn is Vsn.MULTI_HOP and st.missed_schedules >= params.p:
-                    if self.sh_enabled:
-                        self.wait_sh[k].append((n, "mh_exit", -1))
-                    # with single-hop disabled the transition already
-                    # returned the node to bootstrapping
-                elif st.vsn is Vsn.BOOTSTRAPPING:
-                    self._enter_bootstrap(n, rs + layout.schedule_slot)
-        for n in boot:
-            if received[n]:
-                self._transition(n, TransitionEvent.RECEIVED_MH_SCHEDULE, rs)
-                self._log(rs, f"join node={n} vsn=mh via=bootstrap k={k}")
-                R.append(n)
-            else:
-                leavers.append(n)
+                self._transition(n, TransitionEvent.SAMPLED_MH_SUCCESS
+                                 if role == "sample" else tp.received_event,
+                                 rs)
+                if role != "member":
+                    self._log(rs, f"join node={n} vsn={tp.tag} via={role} "
+                                  f"k={k}")
+                if role == "listen":
+                    self.mhb_listeners.discard(n)
+                if sample:
+                    self.samplers[k + 1].add(n)
+                alive.append(n)
+                continue
+            if role == "listen":
+                stay.append(n)
+                continue
+            leavers.append(n)
+            if role == "sample":
+                self._transition(n, TransitionEvent.SAMPLED_MH_FAILURE, rs)
+            elif role == "bootstrap" and tp.vsn == "multi_hop":
                 if self.protocol == "ewan":
+                    # hand over to this period's single-hop round
                     self.wait_sh[k].append(
                         (n, "bootstrap", self.sync_token[n]))
                 else:
-                    retry = (rs + layout.schedule_slot + draw_uniform(
-                        self._backoff, 0.0, params.backoff_window))
-                    self._schedule_sync(n, retry)
-        for n in samp:
-            if received[n]:
-                self._transition(n, TransitionEvent.SAMPLED_MH_SUCCESS, rs)
-                self._log(rs, f"join node={n} vsn=mh via=sample k={k}")
-                R.append(n)
+                    self._retry_sync(n, leave_t)
             else:
-                self._transition(n, TransitionEvent.SAMPLED_MH_FAILURE, rs)
-                leavers.append(n)
-        passive_stay: list[int] = []
-        for n in passive:
-            if received[n]:
-                self._transition(n, TransitionEvent.RECEIVED_MH_SCHEDULE, rs)
-                self._log(rs, f"join node={n} vsn=mh via=listen k={k}")
-                self.mhb_listeners.discard(n)
-                R.append(n)
-            else:
-                passive_stay.append(n)
-        contenders = [n for n in R if sched.slot_of(n) is None]
-
-        if sched_res is not None:
-            add_flood_costs(sched_res, sched_span, layout.toa_schedule,
-                            [n for n in present if n in flood_ids
-                             and n not in passive_stay])
-        for n in present:
-            if n not in flood_ids and n not in passive_stay:
-                # severed this round: listened to the whole slot for nothing
-                costs[n][0] += layout.schedule_slot
-
-        acc.fragile = {n for n in R if self.accounts[n].storage.e_cap
-                       < self.mh_fragile_j}
-
+                st = self._transition(n, TransitionEvent.MISSED_SCHEDULE, rs)
+                self._log(rs, f"sched_miss node={n} vsn={tp.tag} k={k} "
+                              f"missed={st.missed_schedules}")
+                if role == "bootstrap":
+                    self._retry_sync(n, leave_t)
+                elif (st.vsn is Vsn.MULTI_HOP
+                        and st.missed_schedules >= self.params.p):
+                    # with single-hop disabled the transition already
+                    # returned the node to bootstrapping
+                    if self.sh_enabled:
+                        self.wait_sh[k].append((n, "mh_exit", -1))
+                elif st.vsn is Vsn.BOOTSTRAPPING:
+                    self._enter_bootstrap(n, leave_t)
+        acc.fragile = {n for n in alive if self.accounts[n].storage.e_cap
+                       < tp.fragile_j}
         # leavers are done after the first schedule slot
         for n in leavers:
-            acc.flush(n, self.accounts[n].clock_s + sum(costs[n]))
+            acc.flush(n)
 
-        R_alive = list(R)
         delivered: set[int] = set()
         attempted: set[int] = set()
-        t_cursor = rs + sched_span
-        acc.settle(R_alive, t_cursor)
-
-        slot_plan: list[tuple[str, Optional[int], float]] = [
-            ("data", owner, layout.data_slot + layout.gap)
-            for owner in sched.assignments]
-        slot_plan += [("cont", None, layout.contention_slot + layout.gap),
-                      ("sched2", None, sched_span)]
-
-        for kind, owner, span in slot_plan:
-            alive_set = frozenset([self.HOST] + R_alive)
-            res = None
-            toa = layout.toa_data
-            if kind == "data":
-                if owner in R_alive and (owner not in acc.fragile or
-                        self.accounts[owner].storage.e_cap
-                        > self.mh_owner_tx_j):
-                    res = self._flood("data", {owner: owner}, alive_set,
-                                      params.data_payload)
-                    attempted.add(owner)
-                    if res.nodes[self.HOST].received:
-                        delivered.add(owner)
-            elif kind == "cont":
-                toa = layout.toa_contention
-                live_cont = [c for c in contenders if c in R_alive]
-                if live_cont:
-                    res = self._flood(
-                        "cont", {c: c for c in live_cont}, alive_set,
-                        CONTENTION_BYTES)
-                    host_res = res.nodes[self.HOST]
-                    if host_res.received and host_res.packet_id is not None:
-                        w = host_res.packet_id
-                        self.book_mh.enqueue_demand(w)
-                        self._log(rs, f"contend_won node={w} vsn=mh k={k}")
+        t = rs + (layout.schedule_slot + layout.gap)
+        acc.settle(alive, t)
+        for what, span in layout.slot_plan(sched.assignments):
+            if what == "contention":
+                live = [n for n in alive if sched.slot_of(n) is None]
+                used = bool(live)
+                if used:
+                    w = tp.contend(live, alive, span, acc)
+                    if w is not None:
+                        tp.book.enqueue_demand(w)
+                        self._log(rs, f"contend_won node={w} vsn={tp.tag} "
+                                      f"k={k}")
+            elif what == "schedule":
+                used = bool(alive)
+                if used:
+                    tp.second_schedule(alive, span, acc)
             else:
-                toa = layout.toa_schedule
-                if len(alive_set) > 1:
-                    res = self._flood("sched", {self.HOST: self.HOST},
-                                      alive_set, params.schedule_payload_mh)
-            if res is not None:
-                add_flood_costs(res, span, toa, R_alive)
-            else:
-                for n in R_alive:
-                    costs[n][2] += span
-            t_cursor += span
-            acc.settle(R_alive, t_cursor)
+                got = tp.data(what, alive, span, acc) if what in alive else None
+                used = got is not None
+                if used:
+                    attempted.add(what)
+                    if got:
+                        delivered.add(what)
+            if not used:
+                for n in alive:
+                    acc.costs[n][2] += span
+            t += span
+            acc.settle(alive, t)
 
         # the fragile nodes were settled at the last slot end
-        acc.flush_all([n for n in R_alive if n not in acc.fragile], re)
-        for n in passive_stay:
-            d = self.accounts[n].advance(re, self.load_mh.listen)
-            if d is not None:
-                self._kill(n, d)
-        acc.close(received, delivered, attempted, n_slots)
-
-    # ------------------------------------------------------------------
-    # single-hop rounds (ewan, single_hop baseline)
-
-    def _sh_schedule_reception(self, n: int, blocked: bool) -> tuple[bool, float]:
-        """Whether a listener decodes the schedule and its listen time."""
-        layout = self.sh_layout
-        if blocked:
-            return False, layout.schedule_slot
-        p = self.p_sh_link[n]
-        for c in range(1, layout.host_copies + 1):
-            if self._bern(p):
-                return True, layout.schedule_listen_until_copy(c)
-        return False, layout.schedule_slot
-
-    def _handle_sh_round(self, k: int, rs: float):
-        params = self.params
-        layout = self.sh_layout
-        cfg = self.cfg_sh
-
-        members = self._gather(sorted(self.members_sh), rs, self.load_sleep)
-        wait_raw = self.wait_sh.pop(k, [])
-        waiters: list[tuple[int, str]] = []
-        for n, reason, tok in wait_raw:
-            st = self.nstate[n]
-            if reason == "bootstrap":
-                if (st.vsn is Vsn.BOOTSTRAPPING
-                        and self.sync_token.get(n) == tok):
-                    waiters.append((n, reason))
-            elif reason == "mh_exit":
-                if st.vsn is Vsn.MULTI_HOP and st.missed_schedules >= params.p:
-                    waiters.append((n, reason))
-        alive_waiters = self._gather([n for n, _ in waiters], rs,
-                                     self.load_sleep)
-        waiters = [(n, r) for n, r in waiters if n in alive_waiters]
-
-        cross = params.mh_round_start(k + 1)
-        sched = host_build_schedule(self.book_sh, params, "single_hop",
-                                    k, rs, cross)
-        n_slots = len(sched.assignments)
-        re = rs + layout.round_duration(n_slots)
-        self.host_busy_until = max(self.host_busy_until, re)
-        sample_flag = sched.sample_multihop and self.protocol == "ewan"
-
-        present = members + [n for n, _ in waiters]
-        acc = self._open_round("single_hop", k, rs, present, self.book_sh,
-                               self.load_sh)
-        if acc is None:
-            return
-        costs = acc.costs
-
-        reason_of = dict(waiters)
-        received: dict[int, bool] = {}
-        R: list[int] = []
-        leave_t = rs + layout.schedule_slot
-
-        for n in present:
-            blocked = self.hooks.sh_blocked(n, k)
-            got, listen_s = self._sh_schedule_reception(n, blocked)
-            received[n] = got
-            costs[n][0] += listen_s
-            if got:
-                costs[n][2] += layout.schedule_slot - listen_s + layout.gap
-                self._transition(n, TransitionEvent.RECEIVED_SH_SCHEDULE, rs)
-                R.append(n)
-                if n in reason_of:
-                    self._log(rs, f"join node={n} vsn=sh via={reason_of[n]} "
-                                  f"k={k}")
-                if sample_flag:
-                    self.samplers[k + 1].add(n)
-            else:
-                reason = reason_of.get(n)
-                st = self._transition(n, TransitionEvent.MISSED_SCHEDULE, rs)
-                self._log(rs, f"sched_miss node={n} vsn=sh k={k} "
-                              f"missed={st.missed_schedules}")
-                if st.vsn is Vsn.BOOTSTRAPPING and reason != "bootstrap":
-                    # fell out of a VSN: start bootstrapping immediately
-                    self._enter_bootstrap(n, leave_t)
-                elif reason == "bootstrap":
-                    retry = leave_t + draw_uniform(
-                        self._backoff, 0.0, params.backoff_window)
-                    self._schedule_sync(n, retry)
-
-        # leavers (missed the first schedule) listened, then sleep
-        for n in present:
-            if not received[n]:
-                acc.flush(n)
-
-        contenders = [n for n in R if sched.slot_of(n) is None]
-        acc.fragile = {n for n in R if self.accounts[n].storage.e_cap
-                       < self.sh_fragile_j}
-        R_alive = list(R)
-        t_cursor = rs + layout.schedule_slot + layout.gap
-        acc.settle(R_alive, t_cursor)
-
-        delivered: set[int] = set()
-        attempted: set[int] = set()
-        data_span = layout.data_slot + layout.gap
-        for owner in sched.assignments:
-            if owner in R_alive:
-                blocked = self.hooks.sh_blocked(owner, k)
-                attempted.add(owner)
-                if not blocked and self._bern(self.p_sh_link[owner]):
-                    delivered.add(owner)
-                costs[owner][1] += layout.toa_data
-                costs[owner][0] += layout.toa_data  # host repetition
-                costs[owner][2] += layout.turnaround + layout.gap
-                for n in R_alive:
-                    if n != owner:
-                        costs[n][2] += data_span
-            else:
-                for n in R_alive:
-                    costs[n][2] += data_span
-            t_cursor += data_span
-            acc.settle(R_alive, t_cursor)
-
-        cont_span = layout.contention_slot + layout.gap
-        live_cont = [n for n in contenders if n in R_alive]
-        if live_cont:
-            attempts = [
-                ConcurrentAttempt(
-                    packet_id=n, sender=n,
-                    rx_power_dbm=cfg.tx_power_dbm
-                    - self.links_sh.loss_db(self.HOST, n))
-                for n in live_cont if not self.hooks.sh_blocked(n, k)
-            ]
-            winner = None
-            if attempts:
-                winner = resolve_concurrent(
-                    attempts, cfg.sensitivity_dbm, self.ramp_db,
-                    self.sigma_db, self._rx)
-            if winner is not None:
-                self.book_sh.enqueue_demand(winner)
-                self._log(rs, f"contend_won node={winner} vsn=sh k={k}")
-            for n in live_cont:
-                costs[n][1] += layout.toa_contention
-                costs[n][0] += layout.toa_contention  # winner echo
-                costs[n][2] += layout.turnaround + layout.gap
-        for n in R_alive:
-            if n not in live_cont:
-                costs[n][2] += cont_span
-        t_cursor += cont_span
-        acc.settle(R_alive, t_cursor)
-
-        # second schedule: timing refresh only, never membership
-        for n in R_alive:
-            _, listen2 = self._sh_schedule_reception(
-                n, self.hooks.sh_blocked(n, k))
-            costs[n][0] += listen2
-            costs[n][2] += layout.schedule_slot - listen2 + layout.gap
-        acc.flush_all(R_alive, re)
+        for n in alive:
+            if n not in acc.fragile:
+                acc.flush(n, re)
+        self._advance_to(stay, re, tp.loads.listen)
         acc.close(received, delivered, attempted, n_slots)
 
     # ------------------------------------------------------------------
@@ -980,10 +934,8 @@ class ProtocolRun:
     def _handle(self, ev: SimEvent):
         if ev.kind is EventKind.ROUND_START:
             vsn, k = ev.payload
-            if vsn == "multi_hop":
-                self._handle_mh_round(k, self.params.mh_round_start(k))
-            else:
-                self._handle_sh_round(k, self.params.sh_round_start(k))
+            tp = _FloodTransport if vsn == "multi_hop" else _HostTransport
+            self._handle_round(tp(self, k), k)
         elif ev.kind is EventKind.SYNC_REQUEST:
             node, token, t = ev.payload
             self._handle_sync(node, token, t)

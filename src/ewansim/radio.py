@@ -9,7 +9,7 @@ and ratios, not on absolute dBm or milliwatts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -80,6 +80,14 @@ class RadioConfig:
     explicit_header: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if "int" in f.type and v is not None and not isinstance(v, int):
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
+        if not self.bandwidth_hz > 0:
+            raise ValueError("bandwidth_hz must be positive")
         if self.modulation == "lora":
             if self.spreading_factor is None or self.datarate_bps is not None:
                 raise ValueError("lora config needs spreading_factor and no datarate")
@@ -88,6 +96,8 @@ class RadioConfig:
         elif self.modulation == "fsk":
             if self.datarate_bps is None or self.spreading_factor is not None:
                 raise ValueError("fsk config needs datarate_bps and no spreading factor")
+            if not self.datarate_bps > 0:
+                raise ValueError("datarate_bps must be positive")
         else:
             raise ValueError(f"unknown modulation: {self.modulation!r}")
 

@@ -13,7 +13,7 @@ import csv
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -539,65 +539,18 @@ def case_study_scenario() -> Scenario:
 # persistence
 
 
-def _radio_to_dict(cfg: RadioConfig) -> dict:
-    d = {
-        "modulation": cfg.modulation,
-        "bandwidth_hz": cfg.bandwidth_hz,
-        "center_frequency_hz": cfg.center_frequency_hz,
-        "tx_power_dbm": cfg.tx_power_dbm,
-        "sensitivity_dbm": cfg.sensitivity_dbm,
-    }
-    if cfg.modulation == "lora":
-        d["spreading_factor"] = cfg.spreading_factor
-    else:
-        d["datarate_bps"] = cfg.datarate_bps
-    return d
+def _to_dict(obj) -> dict:
+    """A config dataclass, nested ones included, as YAML fields: tuples
+    become lists and unset (None) fields are left out."""
+    return asdict(obj, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v
+        for k, v in items if v is not None})
 
 
-def _radio_from_dict(d: dict) -> RadioConfig:
-    return RadioConfig(**d)
-
-
-def _params_to_dict(p: ProtocolParams) -> dict:
-    return {
-        "period_t": p.period_t, "delta_t": p.delta_t, "p": p.p, "m": p.m,
-        "max_data_slots_mh": p.max_data_slots_mh,
-        "max_data_slots_sh": p.max_data_slots_sh,
-        "flood_hops": p.flood_hops, "flood_retx": p.flood_retx,
-        "sh_retx_node": p.sh_retx_node, "sh_retx_host": p.sh_retx_host,
-        "data_payload": p.data_payload, "backoff_window": p.backoff_window,
-    }
-
-
-def _energy_to_dict(e: EnergyParams) -> dict:
-    return {
-        "e_boot": e.e_boot, "e_com_init": e.e_com_init, "p_boot": e.p_boot,
-        "p_sleep": e.p_sleep, "p_idle": e.p_idle,
-        "buck_efficiency": e.buck_efficiency,
-        "start_threshold": e.start_threshold,
-        "sample_interval": e.sample_interval,
-        "charge_efficiency": e.charge_efficiency,
-    }
-
-
-def _trace_gen_to_dict(g: TraceGenParams) -> dict:
-    return {
-        "rho": g.rho, "days": g.days,
-        "e_avg_range_j": list(g.e_avg_range_j),
-        "start_window_h": list(g.start_window_h),
-        "end_window_h": list(g.end_window_h),
-        "noise_sigma": g.noise_sigma, "special_deep": g.special_deep,
-        "deep_energy_factor": g.deep_energy_factor,
-        "deep_window_extension_h": g.deep_window_extension_h,
-    }
-
-
-def _trace_gen_from_dict(d: dict) -> TraceGenParams:
-    d = dict(d)
-    for key in ("e_avg_range_j", "start_window_h", "end_window_h"):
-        if key in d:
-            d[key] = tuple(d[key])
-    return TraceGenParams(**d)
+def _from_dict(cls, d: dict):
+    """The inverse of _to_dict for a flat config dataclass."""
+    return cls(**{k: tuple(v) if isinstance(v, list) else v
+                  for k, v in dict(d).items()})
 
 
 def save_scenario(scenario: Scenario, out_dir: str) -> str:
@@ -610,13 +563,9 @@ def save_scenario(scenario: Scenario, out_dir: str) -> str:
         "horizon_s": scenario.horizon_s,
         "storage_capacity_j": scenario.storage_capacity_j,
         "initial_charge_j": scenario.initial_charge_j,
-        "params": _params_to_dict(scenario.params),
-        "energy": _energy_to_dict(scenario.energy_params),
-        "radio": {
-            "bootstrap": _radio_to_dict(scenario.vsn_configs.bootstrap),
-            "single_hop": _radio_to_dict(scenario.vsn_configs.single_hop),
-            "multi_hop": _radio_to_dict(scenario.vsn_configs.multi_hop),
-        },
+        "params": _to_dict(scenario.params),
+        "energy": _to_dict(scenario.energy_params),
+        "radio": _to_dict(scenario.vsn_configs),
         "links_multi_hop": [[float(x) for x in row]
                             for row in scenario.links_multi_hop.loss],
         "links_single_hop": [[float(x) for x in row]
@@ -625,7 +574,7 @@ def save_scenario(scenario: Scenario, out_dir: str) -> str:
     if scenario.bottleneck is not None:
         doc["bottleneck"] = list(scenario.bottleneck)
     if scenario.trace_gen is not None:
-        doc["trace_gen"] = _trace_gen_to_dict(scenario.trace_gen)
+        doc["trace_gen"] = _to_dict(scenario.trace_gen)
     if scenario.traces is not None:
         os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
         refs = {}
@@ -710,18 +659,16 @@ def load_scenario(path: str) -> Scenario:
             traces = {int(node): _read_trace_csv(os.path.join(base, rel))
                       for node, rel in doc["traces"].items()}
         if "trace_gen" in doc:
-            trace_gen = _trace_gen_from_dict(doc["trace_gen"])
+            trace_gen = _from_dict(TraceGenParams, doc["trace_gen"])
         scenario = Scenario(
             kind=doc["kind"],
             n_nodes=n_nodes,
             links_multi_hop=LinkMatrix(n_nodes + 1, short),
             links_single_hop=LinkMatrix(n_nodes + 1, long_range),
             params=ProtocolParams(**doc["params"]),
-            vsn_configs=VsnConfigs(
-                bootstrap=_radio_from_dict(doc["radio"]["bootstrap"]),
-                single_hop=_radio_from_dict(doc["radio"]["single_hop"]),
-                multi_hop=_radio_from_dict(doc["radio"]["multi_hop"]),
-            ),
+            vsn_configs=VsnConfigs(**{
+                vsn: RadioConfig(**doc["radio"][vsn])
+                for vsn in ("bootstrap", "single_hop", "multi_hop")}),
             energy_params=EnergyParams(**doc["energy"]),
             horizon_s=float(doc["horizon_s"]),
             storage_capacity_j=float(doc["storage_capacity_j"]),

@@ -271,6 +271,42 @@ class TestVerifyCommand:
         assert err.startswith("error:")
         assert field in err
 
+    # parameter values that pass every structural check, but that made
+    # run hang (sample_interval), end in a traceback (backoff_window,
+    # period_t, and verify itself on a zero bandwidth or datarate), write
+    # nan energies (p_idle) or treat a fraction as a count (p)
+    @pytest.mark.parametrize("section, field, value", [
+        ("energy", "sample_interval", float("nan")),
+        ("energy", "p_idle", float("nan")),
+        ("params", "backoff_window", float("nan")),
+        ("params", "backoff_window", float("inf")),
+        ("params", "period_t", float("nan")),
+        ("params", "delta_t", float("nan")),
+        ("params", "p", 1.5),
+        ("radio.single_hop", "bandwidth_hz", 0),
+        ("radio.multi_hop", "datarate_bps", 0),
+        ("radio.bootstrap", "tx_power_dbm", float("nan")),
+    ])
+    def test_invalid_parameter_is_an_error_line(self, tmp_path, capsys,
+                                                section, field, value):
+        path = gen(tmp_path, "fh", "--kind", "fh", "--days", "1")
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+        table = doc
+        for key in section.split("."):
+            table = table[key]
+        table[field] = value
+        with open(path, "w") as fh:
+            yaml.safe_dump(doc, fh, sort_keys=True)
+        with pytest.raises(ScenarioError, match=rf"\b{field}\b.* must be"):
+            load_scenario(path)
+        capsys.readouterr()
+        code = main(["verify", "--scenario", path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert field in err
+
     def test_traces_as_a_list_is_an_error_line(self, tmp_path, capsys):
         scen = self._fixed(tmp_path)
         doc = yaml.safe_load((scen / "scenario.yaml").read_text())

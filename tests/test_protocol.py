@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,22 +251,19 @@ class TestScheduleBook:
     def test_sample_flag_every_m_single_hop_rounds(self):
         book = ScheduleBook(max_slots=15, p=2)
         flags = [
-            host_build_schedule(book, PARAMS, "single_hop", k, 5.0 + 300 * k,
-                                300.0 * (k + 1)).sample_multihop
+            host_build_schedule(book, PARAMS, "single_hop", k).sample_multihop
             for k in range(4)
         ]
         assert flags == [True, False, True, False]
-        mh = host_build_schedule(book, PARAMS, "multi_hop", 0, 0.0, 5.0)
+        mh = host_build_schedule(book, PARAMS, "multi_hop", 0)
         assert mh.sample_multihop is False
 
     def test_schedule_rejects_duplicate_slots(self):
         with pytest.raises(ValueError):
-            Schedule(vsn="multi_hop", round_index=0, round_start_s=0.0,
-                     assignments=(1, 1), cross_vsn_next_round_s=5.0)
+            Schedule(assignments=(1, 1))
 
     def test_slot_lookup(self):
-        sched = Schedule(vsn="multi_hop", round_index=0, round_start_s=0.0,
-                         assignments=(4, 2), cross_vsn_next_round_s=5.0)
+        sched = Schedule(assignments=(4, 2))
         assert sched.slot_of(4) == 0
         assert sched.slot_of(2) == 1
         assert sched.slot_of(9) is None
@@ -336,19 +336,25 @@ class TestContendingSyncRequests:
         assert delivered.get(2, 0) >= 1
 
 
-def _two_members_before_mh_round(k: int) -> ProtocolRun:
-    """Two members without harvest, run up to just before multi-hop round
-    k; node 2 owns the first data slot and node 1 the second."""
+def _two_node_run_before(protocol: str, t: float) -> ProtocolRun:
+    """Two nodes without harvest, run up to just before time t."""
     sc = flat_scenario(2, harvest_w=0.0, horizon_s=3600.0)
     run = ProtocolRun(
-        protocol="ewan", n_nodes=2, links_multi_hop=sc.links_multi_hop,
+        protocol=protocol, n_nodes=2, links_multi_hop=sc.links_multi_hop,
         links_single_hop=sc.links_single_hop, traces=sc.traces,
         params=sc.params, vsn_configs=sc.vsn_configs,
         energy_params=sc.energy_params,
         storage_capacity_j=sc.storage_capacity_j,
         initial_charge_j=sc.initial_charge_j, horizon_s=sc.horizon_s,
         streams=RandomStreams(11, 0))
-    run.queue.run_until(to_us(PARAMS.mh_round_start(k)) - 1, run._handle)
+    run.queue.run_until(to_us(t) - 1, run._handle)
+    return run
+
+
+def _two_members_before_mh_round(k: int) -> ProtocolRun:
+    """Two members without harvest, run up to just before multi-hop round
+    k; node 2 owns the first data slot and node 1 the second."""
+    run = _two_node_run_before("ewan", PARAMS.mh_round_start(k))
     assert run.members_mh == {1, 2}
     assert run.book_mh.assigned == (2, 1)
     return run
@@ -414,15 +420,17 @@ class TestCarefulRound:
         for n, err in res.conservation_j.items():
             assert abs(err) < 1e-9, n
 
-    def test_only_the_fragile_member_is_settled_per_slot(self, monkeypatch):
-        # node 1 is fragile but can afford the round; node 2 is robust
-        k = 4
-        rs = PARAMS.mh_round_start(k)
-        run = _two_members_before_mh_round(k)
+    @staticmethod
+    def _run_round_with_fragile_node_1(run, monkeypatch, rs, fragile_j,
+                                       layout):
+        """Drain node 1 to half of fragile_j, keep node 2 robust, run the
+        round that starts at rs, and check that node 1 was flushed at
+        every slot end and node 2 once, at the round end. Returns each
+        node's drawn-energy snapshot from before the round."""
         for n in (1, 2):
             run.accounts[n].advance(rs, run.load_sleep)
-        _drain_to(run, 1, 0.5 * run.mh_fragile_j)
-        assert run.accounts[2].storage.e_cap > run.mh_fragile_j
+        _drain_to(run, 1, 0.5 * fragile_j)
+        assert run.accounts[2].storage.e_cap > fragile_j
 
         flushes = {1: [], 2: []}
         flush = _RoundAccountant.flush
@@ -437,7 +445,6 @@ class TestCarefulRound:
         run.queue.run_until(to_us(rs), run._handle)
         monkeypatch.undo()
 
-        layout = run.mh_layout
         sched_span = layout.schedule_slot + layout.gap
         data_span = layout.data_slot + layout.gap
         slot_ends = np.cumsum([rs + sched_span, data_span, data_span,
@@ -445,6 +452,13 @@ class TestCarefulRound:
                                sched_span])
         assert flushes[1] == pytest.approx(list(slot_ends), abs=1e-9)
         assert flushes[2] == [rs + layout.round_duration(2)]
+        return before
+
+    @staticmethod
+    def _check_round_books(run, k, before):
+        """Both members survived round k, attempted their slot, and their
+        round records hold exactly their ledger deltas; every ledger
+        closes at the end of the run."""
         rec = run.records[-1]
         assert rec.round_index == k
         assert not any(n == 1 and new == "off"
@@ -460,6 +474,54 @@ class TestCarefulRound:
         res = run.run()
         for n, err in res.conservation_j.items():
             assert abs(err) < 1e-9, n
+
+    def test_only_the_fragile_member_is_settled_per_slot(self, monkeypatch):
+        # node 1 is fragile but can afford the round; node 2 is robust
+        k = 4
+        rs = PARAMS.mh_round_start(k)
+        run = _two_members_before_mh_round(k)
+        before = self._run_round_with_fragile_node_1(
+            run, monkeypatch, rs, run.mh_fragile_j, run.mh_layout)
+        self._check_round_books(run, k, before)
+
+    def test_single_hop_fragile_member_is_settled_per_slot(self,
+                                                          monkeypatch):
+        # the single_hop baseline: node 1 owns the first data slot and
+        # node 2 the second; node 1 is fragile, node 2 robust
+        k = 4
+        rs = PARAMS.sh_round_start(k)
+        run = _two_node_run_before("single_hop", rs)
+        assert run.members_sh == {1, 2}
+        assert run.book_sh.assigned == (1, 2)
+        before = self._run_round_with_fragile_node_1(
+            run, monkeypatch, rs, run.sh_fragile_j, run.sh_layout)
+        assert run.records[-1].vsn == "single_hop"
+        self._check_round_books(run, k, before)
+
+
+class TestRunLifetime:
+    @pytest.mark.parametrize("protocol", ("ewan", "single_hop"))
+    def test_finished_run_is_freed_without_the_cycle_collector(
+            self, monkeypatch, protocol):
+        # a reference cycle through a run (such as round helpers or bound
+        # methods stored on it) keeps every finished run of a campaign
+        # alive until the cycle collector happens to run
+        refs = []
+        run = ProtocolRun.run
+
+        def spy(self):
+            refs.append(weakref.ref(self))
+            return run(self)
+
+        monkeypatch.setattr(ProtocolRun, "run", spy)
+        gc.disable()
+        try:
+            res = simulate_run(flat_scenario(2), protocol, master_seed=11)
+            freed = refs[0]() is None
+        finally:
+            gc.enable()
+        assert res.delivered_by_node()
+        assert freed
 
 
 class TestSharedHarvestAcrossProtocols:

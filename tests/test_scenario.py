@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from ewansim.protocol.params import default_vsn_configs
+from ewansim.radio import time_on_air
 from ewansim.scenario import (
     Scenario,
     ScenarioError,
@@ -293,6 +294,21 @@ class TestPersistence:
         assert loaded.bottleneck == sc.bottleneck
         assert loaded.energy_params == sc.energy_params
         assert loaded.horizon_s == sc.horizon_s
+
+    def test_radio_framing_fields_round_trip(self, tmp_path):
+        # every framing field sets a time on air, and with it the slot
+        # lengths of every round on that channel
+        sc = build_scenario("fh", rho=0.0, stream=np.random.default_rng(12))
+        cfgs = sc.vsn_configs
+        sc.vsn_configs = replace(
+            cfgs,
+            single_hop=replace(cfgs.single_hop, coding_rate=4,
+                               preamble_symbols=12, explicit_header=False),
+            multi_hop=replace(cfgs.multi_hop, preamble_bytes=6))
+        loaded = load_scenario(save_scenario(sc, str(tmp_path / "fh")))
+        assert loaded.vsn_configs == sc.vsn_configs
+        assert (time_on_air(loaded.vsn_configs.single_hop, 20)
+                == time_on_air(sc.vsn_configs.single_hop, 20))
 
     def test_fixed_traces_round_trip_bit_identically(self, tmp_path):
         sc = case_study_scenario()
