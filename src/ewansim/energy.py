@@ -13,7 +13,6 @@ node's EnergyLedger.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .engine import SimulationError
-from .radio import RadioConfig, RadioPowerTable
 
 # clock slack: an advance to within this many seconds of the clock books
 # nothing
@@ -91,55 +89,7 @@ class HarvestTrace:
         self.resolution_s = float(resolution_s)
 
 
-class Activity(enum.Enum):
-    TX = "tx"
-    LISTEN = "listen"
-    IDLE = "idle"
-    SLEEP = "sleep"
-    BOOT_WAIT = "boot_wait"      # off state: continuous p_boot draw
-    BOOT_SAMPLE = "boot_sample"  # fixed per power-on application start
-    COM_INIT = "com_init"        # fixed per start-communicating event
-
-
-# ledger category per activity
-ACTIVITY_CATEGORY = {
-    Activity.TX: "tx",
-    Activity.LISTEN: "listen",
-    Activity.IDLE: "idle",
-    Activity.SLEEP: "sleep",
-    Activity.BOOT_WAIT: "boot",
-    Activity.BOOT_SAMPLE: "boot",
-    Activity.COM_INIT: "com_init",
-}
-
 LEDGER_CATEGORIES = ("tx", "listen", "idle", "sleep", "boot", "com_init")
-
-
-def per_activity_energy(
-    activity: Activity,
-    params: EnergyParams,
-    power_table: Optional[RadioPowerTable] = None,
-    duration_s: float = 0.0,
-    config: Optional[RadioConfig] = None,
-) -> float:
-    """Load-side joules of one activity (before buck-converter division)."""
-    if duration_s < 0:
-        raise ValueError("duration must be >= 0")
-    if activity is Activity.TX:
-        return power_table.tx_watts(config) * duration_s
-    if activity is Activity.LISTEN:
-        return power_table.rx_watts(config) * duration_s
-    if activity is Activity.IDLE:
-        return params.p_idle * duration_s
-    if activity is Activity.SLEEP:
-        return params.p_sleep * duration_s
-    if activity is Activity.BOOT_WAIT:
-        return params.p_boot * duration_s
-    if activity is Activity.BOOT_SAMPLE:
-        return params.e_boot
-    if activity is Activity.COM_INIT:
-        return params.e_com_init
-    raise ValueError(f"unknown activity {activity!r}")
 
 
 class _KahanSum:
@@ -353,12 +303,10 @@ class NodeAccount:
         before t1."""
         return self.integrate(t1, load[0], load[1], True)
 
-    def spend(self, activity: Activity) -> bool:
-        """Draw one fixed-cost activity at the current instant."""
-        if activity not in (Activity.BOOT_SAMPLE, Activity.COM_INIT):
-            raise SimulationError(f"{activity} is not a fixed-cost activity")
-        return consume(self.ledger, self.storage, ACTIVITY_CATEGORY[activity],
-                       per_activity_energy(activity, self.params), self._eff)
+    def spend(self, joules: float, category: str) -> bool:
+        """Draw a fixed cost of joules (load side) at the current instant;
+        returns True if it empties the storage."""
+        return consume(self.ledger, self.storage, category, joules, self._eff)
 
     def next_power_time(self, t: float) -> float:
         """Earliest time >= t with nonzero harvested power (inf if none)."""

@@ -90,7 +90,9 @@ class EventQueue:
 
 
 # one stream per stochastic concern; trace draws must never be perturbed by
-# protocol-side draws, so each name gets an independent generator
+# protocol-side draws, so each name gets an independent generator. Capture
+# draws use "reception"; "capture" is never drawn, but its index fixes the
+# seeds of "traces" and "backoff"
 STREAM_NAMES = ("reception", "capture", "traces", "backoff")
 
 

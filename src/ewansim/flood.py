@@ -97,8 +97,6 @@ def simulate_flood(
     hops: int,
     retransmissions: int,
     stream: np.random.Generator,
-    ramp_width_db: float = DEFAULT_RAMP_DB,
-    capture_sigma_db: float = DEFAULT_CAPTURE_SIGMA_DB,
 ) -> FloodResult:
     """Flood one packet from a single initiator to all participants.
 
@@ -116,8 +114,6 @@ def simulate_flood(
         hops,
         retransmissions,
         stream,
-        ramp_width_db,
-        capture_sigma_db,
     )
 
 
@@ -130,8 +126,6 @@ def simulate_contention_flood(
     hops: int,
     retransmissions: int,
     stream: np.random.Generator,
-    ramp_width_db: float = DEFAULT_RAMP_DB,
-    capture_sigma_db: float = DEFAULT_CAPTURE_SIGMA_DB,
 ) -> FloodResult:
     """Flood with several initiators carrying distinct packets.
 
@@ -153,8 +147,6 @@ def simulate_contention_flood(
         hops,
         retransmissions,
         stream,
-        ramp_width_db,
-        capture_sigma_db,
     )
 
 
@@ -167,8 +159,6 @@ def _run_flood(
     hops: int,
     retransmissions: int,
     stream: np.random.Generator,
-    ramp_width_db: float,
-    capture_sigma_db: float,
 ) -> FloodResult:
     if hops < 1:
         raise ValueError("hops must be >= 1")
@@ -180,7 +170,7 @@ def _run_flood(
     n_slots = hops + retransmissions
     budget = retransmissions + 1
 
-    reach, sure, heard, p_to = links.reach_masks(config, ramp_width_db)
+    reach, sure, heard, p_to = links.reach_masks(config)
 
     packet = dict(holders)
     payloads = set(holders.values())
@@ -260,8 +250,8 @@ def _run_flood(
                 won = resolve_concurrent(
                     [ConcurrentAttempt(pkt, u, tx_power - row[v])
                      for pkt, u, row in signals],
-                    config.sensitivity_dbm, ramp_width_db, capture_sigma_db,
-                    stream,
+                    config.sensitivity_dbm, DEFAULT_RAMP_DB,
+                    DEFAULT_CAPTURE_SIGMA_DB, stream,
                 )
                 if won is not None:
                     packet[v] = won

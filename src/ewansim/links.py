@@ -6,7 +6,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .radio import RadioConfig, reception_probability
+from .radio import DEFAULT_RAMP_DB, RadioConfig, reception_probability
 
 
 class ReachMasks(NamedTuple):
@@ -45,8 +45,7 @@ class LinkMatrix:
     loss: np.ndarray = field(repr=False)
     # the losses as nested lists, for scalar reads in the flood kernel
     loss_rows: list = field(init=False, repr=False, compare=False)
-    # (config, ramp width) -> (reception table, reach masks), filled on
-    # first use
+    # config -> (reception table, reach masks), filled on first use
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -68,13 +67,12 @@ class LinkMatrix:
     def loss_db(self, i: int, j: int) -> float:
         return self.loss_rows[i][j]
 
-    def _cached(self, config: RadioConfig, ramp_width_db: float):
-        key = (config, ramp_width_db)
-        got = self._tables.get(key)
+    def _cached(self, config: RadioConfig):
+        got = self._tables.get(config)
         if got is None:
             table = [
                 [reception_probability(config.tx_power_dbm - loss,
-                                       config.sensitivity_dbm, ramp_width_db)
+                                       config.sensitivity_dbm, DEFAULT_RAMP_DB)
                  for loss in row]
                 for row in self.loss_rows
             ]
@@ -88,31 +86,27 @@ class LinkMatrix:
                        for col in columns],
                 p_to=columns,
             )
-            got = self._tables[key] = (table, masks)
+            got = self._tables[config] = (table, masks)
         return got
 
-    def reception_table(self, config: RadioConfig,
-                        ramp_width_db: float = 2.0) -> list[list[float]]:
+    def reception_table(self, config: RadioConfig) -> list[list[float]]:
         """p[i][j], the reception probability of a lone packet from i heard
-        at j, computed once per (config, ramp width) and then shared."""
-        return self._cached(config, ramp_width_db)[0]
+        at j, computed once per config and then shared."""
+        return self._cached(config)[0]
 
-    def reach_masks(self, config: RadioConfig,
-                    ramp_width_db: float = 2.0) -> ReachMasks:
+    def reach_masks(self, config: RadioConfig) -> ReachMasks:
         """The reception table as bitmasks, cached with it."""
-        return self._cached(config, ramp_width_db)[1]
+        return self._cached(config)[1]
 
-    def link_probability(self, i: int, j: int, config: RadioConfig,
-                         ramp_width_db: float = 2.0) -> float:
+    def link_probability(self, i: int, j: int, config: RadioConfig) -> float:
         """Reception probability of a lone packet from i heard at j."""
-        return self.reception_table(config, ramp_width_db)[i][j]
+        return self.reception_table(config)[i][j]
 
-    def all_links_deterministic(self, nodes, config: RadioConfig,
-                                ramp_width_db: float = 2.0) -> bool:
+    def all_links_deterministic(self, nodes, config: RadioConfig) -> bool:
         """True when every pairwise link among the given nodes has
         reception probability exactly 0 or 1, which makes any
         single-packet flood over them independent of the random stream."""
-        table = self.reception_table(config, ramp_width_db)
+        table = self.reception_table(config)
         ids = sorted(nodes)
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):

@@ -35,7 +35,6 @@ class ProtocolParams:
     max_data_slots_sh: int = 15
     flood_hops: int = 6
     flood_retx: int = 2
-    sh_retx_node: int = 0
     sh_retx_host: int = 1
     data_payload: int = 20
     backoff_window: float = 60.0
@@ -52,6 +51,8 @@ class ProtocolParams:
             raise ValueError("delta_t must be smaller than period_t")
         if self.flood_hops < 1 or self.flood_retx < 0:
             raise ValueError("flood geometry out of range")
+        if self.sh_retx_host < 0:
+            raise ValueError("sh_retx_host must be >= 0")
         if self.max_data_slots_mh < 1 or self.max_data_slots_sh < 1:
             raise ValueError("need at least one data slot per round")
         if not 0 < self.backoff_window < math.inf:

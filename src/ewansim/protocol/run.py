@@ -35,14 +35,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from ..energy import (
-    CLOCK_EPS_S,
-    Activity,
-    EnergyParams,
-    EnergyStorage,
-    HarvestTrace,
-    NodeAccount,
-)
+from ..energy import CLOCK_EPS_S, EnergyStorage, HarvestTrace, NodeAccount
 from ..engine import (
     EventKind,
     EventQueue,
@@ -54,13 +47,11 @@ from ..engine import (
     to_us,
 )
 from ..flood import FloodResult, simulate_contention_flood, simulate_flood
-from ..links import LinkMatrix
 from ..radio import (
-    ConcurrentAttempt,
     DEFAULT_CAPTURE_SIGMA_DB,
     DEFAULT_RAMP_DB,
+    ConcurrentAttempt,
     RadioConfig,
-    RadioPowerTable,
     resolve_concurrent,
     time_on_air,
 )
@@ -71,7 +62,6 @@ from .params import (
     SYNC_BYTES,
     SYNC_RESPONSE_DELAY_S,
     ProtocolParams,
-    VsnConfigs,
 )
 from .records import NodeRoundStats, RoundRecord
 from .rounds import MhRoundLayout, ShRoundLayout
@@ -401,52 +391,39 @@ class RunResult:
 
 
 class ProtocolRun:
-    """One protocol, one topology, one seed, one horizon."""
+    """One protocol over one scenario, with one seeded stream set and one
+    set of harvest traces. The scenario is an ewansim.scenario.Scenario,
+    which this module cannot import: that module imports this package."""
 
     HOST = 0
 
-    def __init__(
-        self,
-        *,
-        protocol: str,
-        n_nodes: int,
-        links_multi_hop: LinkMatrix,
-        links_single_hop: LinkMatrix,
-        traces: Mapping[int, HarvestTrace],
-        params: ProtocolParams,
-        vsn_configs: VsnConfigs,
-        energy_params: EnergyParams,
-        storage_capacity_j: float,
-        initial_charge_j: float,
-        horizon_s: float,
-        streams: RandomStreams,
-        power_table: Optional[RadioPowerTable] = None,
-        hooks: Optional[RunHooks] = None,
-        collect_events: bool = False,
-        ramp_width_db: float = DEFAULT_RAMP_DB,
-        capture_sigma_db: float = DEFAULT_CAPTURE_SIGMA_DB,
-    ):
+    def __init__(self, scenario, protocol: str, streams: RandomStreams,
+                 traces: Mapping[int, HarvestTrace],
+                 hooks: Optional[RunHooks] = None,
+                 collect_events: bool = False):
+        n_nodes = scenario.n_nodes
+        params = scenario.params
+        horizon_s = scenario.horizon_s
+        initial_charge_j = scenario.initial_charge_j
         if protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {protocol!r}")
-        if links_multi_hop.n != n_nodes + 1 or links_single_hop.n != n_nodes + 1:
+        if (scenario.links_multi_hop.n != n_nodes + 1
+                or scenario.links_single_hop.n != n_nodes + 1):
             raise ValueError("link matrices must cover host + n_nodes")
         if not 0 < horizon_s < float("inf"):
             raise ValueError("horizon must be finite and positive")
         self.protocol = protocol
         self.n_nodes = n_nodes
         self.nodes = tuple(range(1, n_nodes + 1))
-        self.links_mh = links_multi_hop
-        self.links_sh = links_single_hop
+        self.links_mh = scenario.links_multi_hop
+        self.links_sh = scenario.links_single_hop
         self.params = params
         self.horizon_s = horizon_s
         self.hooks = hooks or RunHooks()
         self.collect = collect_events
-        self.ramp_db = ramp_width_db
-        self.sigma_db = capture_sigma_db
-        self.power_table = power_table or RadioPowerTable()
 
-        storage_b = storage_capacity_j
-        eparams = energy_params
+        storage_b = scenario.storage_capacity_j
+        eparams = scenario.energy_params
         if protocol in ("drb", "multi_hop"):
             storage_b = _BIG_STORAGE_J
         if protocol == "multi_hop":
@@ -467,6 +444,7 @@ class ProtocolRun:
         self.sh_enabled = protocol in ("ewan", "single_hop")
         self.has_mh = protocol in ("ewan", "drb", "multi_hop")
 
+        vsn_configs = scenario.vsn_configs
         self.cfg_boot = vsn_configs.bootstrap
         self.cfg_mh = vsn_configs.multi_hop
         self.cfg_sh = vsn_configs.single_hop
@@ -478,18 +456,17 @@ class ProtocolRun:
         self.load_sleep = (eparams.p_sleep, "sleep")
         self.load_idle = (eparams.p_idle, "idle")
         self.load_boot, self.load_mh, self.load_sh = (
-            _ChannelLoads((self.power_table.rx_watts(c), "listen"),
-                          (self.power_table.tx_watts(c), "tx"))
+            _ChannelLoads((c.rx_watts, "listen"), (c.tx_watts, "tx"))
             for c in (self.cfg_boot, self.cfg_mh, self.cfg_sh))
 
         # reception probability of each node's direct host link, per channel
         self.p_boot_link, self.p_sh_link = (
-            {n: self.links_sh.link_probability(self.HOST, n, c, self.ramp_db)
+            {n: self.links_sh.link_probability(self.HOST, n, c)
              for n in self.nodes}
             for c in (self.cfg_boot, self.cfg_sh))
         all_ids = set(range(n_nodes + 1))
         self._mh_deterministic = self.links_mh.all_links_deterministic(
-            all_ids, self.cfg_mh, self.ramp_db)
+            all_ids, self.cfg_mh)
         self._flood_cache: dict[tuple, FloodResult] = {}
 
         # conservative per-round storage costs that guarantee survival
@@ -631,7 +608,8 @@ class ProtocolRun:
             return
         self._transition(node, TransitionEvent.ENERGY_START, t)
         self.active_since[node] = t
-        died = acct.spend(Activity.BOOT_SAMPLE) or acct.spend(Activity.COM_INIT)
+        died = (acct.spend(self.eparams.e_boot, "boot")
+                or acct.spend(self.eparams.e_com_init, "com_init"))
         self._log(t, f"power_on node={node} e={acct.storage.e_cap:.6f}")
         if died:
             self._kill(node, t)
@@ -766,7 +744,8 @@ class ProtocolRun:
             cfg.tx_power_dbm - self.links_sh.loss_db(self.HOST, n)))
             for n in nodes]
         return resolve_concurrent(attempts, cfg.sensitivity_dbm,
-                                  self.ramp_db, self.sigma_db, self._rx)
+                                  DEFAULT_RAMP_DB, DEFAULT_CAPTURE_SIGMA_DB,
+                                  self._rx)
 
     def _bern(self, p: float) -> bool:
         if p >= 1.0:
@@ -792,13 +771,13 @@ class ProtocolRun:
             res = simulate_contention_flood(
                 dict(initiators), payload, set(participants), self.links_mh,
                 self.cfg_mh, self.params.flood_hops, self.params.flood_retx,
-                self._rx, self.ramp_db, self.sigma_db)
+                self._rx)
         else:
             (initiator,) = initiators
             res = simulate_flood(
                 initiator, payload, set(participants), self.links_mh,
                 self.cfg_mh, self.params.flood_hops, self.params.flood_retx,
-                self._rx, self.ramp_db, self.sigma_db)
+                self._rx)
         if cache_key is not None:
             self._flood_cache[cache_key] = res
         return res
@@ -1019,20 +998,5 @@ def simulate_run(
     streams = RandomStreams(master_seed, run_index)
     if traces is None:
         traces = scenario.traces_for_run(streams.stream("traces"))
-    run = ProtocolRun(
-        protocol=protocol,
-        n_nodes=scenario.n_nodes,
-        links_multi_hop=scenario.links_multi_hop,
-        links_single_hop=scenario.links_single_hop,
-        traces=traces,
-        params=scenario.params,
-        vsn_configs=scenario.vsn_configs,
-        energy_params=scenario.energy_params,
-        storage_capacity_j=scenario.storage_capacity_j,
-        initial_charge_j=scenario.initial_charge_j,
-        horizon_s=scenario.horizon_s,
-        streams=streams,
-        hooks=hooks,
-        collect_events=collect_events,
-    )
-    return run.run()
+    return ProtocolRun(scenario, protocol, streams, traces, hooks,
+                       collect_events).run()

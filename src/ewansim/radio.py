@@ -2,9 +2,10 @@
 reception, probabilistic loss near sensitivity, and concurrent-transmission
 capture.
 
-Sensitivities and radio supply powers are nominal transceiver-class constants
-exposed as configuration; comparisons in the evaluation depend on orderings
-and ratios, not on absolute dBm or milliwatts.
+Sensitivities and radio supply powers are nominal transceiver-class
+constants; comparisons in the evaluation depend on orderings and ratios,
+not on absolute dBm or milliwatts. Every run uses one reception ramp
+(DEFAULT_RAMP_DB) and one capture sigma (DEFAULT_CAPTURE_SIGMA_DB).
 """
 from __future__ import annotations
 
@@ -100,6 +101,20 @@ class RadioConfig:
                 raise ValueError("datarate_bps must be positive")
         else:
             raise ValueError(f"unknown modulation: {self.modulation!r}")
+        if self.tx_power_dbm not in TX_SUPPLY_W:
+            raise ValueError(
+                f"tx_power_dbm must be one of {sorted(TX_SUPPLY_W)} (the "
+                f"powers with a known supply draw), got {self.tx_power_dbm}")
+
+    @property
+    def tx_watts(self) -> float:
+        """Supply power drawn while transmitting."""
+        return TX_SUPPLY_W[self.tx_power_dbm]
+
+    @property
+    def rx_watts(self) -> float:
+        """Supply power drawn while the receiver is on."""
+        return RX_SUPPLY_W[self.modulation]
 
 
 def time_on_air(config: RadioConfig, payload_bytes: int) -> float:
@@ -251,30 +266,3 @@ def resolve_concurrent(
     )
     return winner_id if bernoulli(p) else None
 
-
-class RadioPowerTable:
-    """Supply-power lookup for radio states, keyed by configuration."""
-
-    def __init__(
-        self,
-        tx_supply_w: Optional[dict[float, float]] = None,
-        rx_supply_w: Optional[dict[str, float]] = None,
-    ):
-        self.tx_supply_w = dict(TX_SUPPLY_W if tx_supply_w is None else tx_supply_w)
-        self.rx_supply_w = dict(RX_SUPPLY_W if rx_supply_w is None else rx_supply_w)
-
-    def tx_watts(self, config: RadioConfig) -> float:
-        try:
-            return self.tx_supply_w[config.tx_power_dbm]
-        except KeyError:
-            raise ValueError(
-                f"no supply power known for tx power {config.tx_power_dbm} dBm"
-            ) from None
-
-    def rx_watts(self, config: RadioConfig) -> float:
-        try:
-            return self.rx_supply_w[config.modulation]
-        except KeyError:
-            raise ValueError(
-                f"no supply power known for modulation {config.modulation!r}"
-            ) from None

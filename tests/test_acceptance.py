@@ -20,13 +20,10 @@ from helpers import flat_scenario, mh_records, sh_records
 from ewansim.campaign import run_campaign
 from ewansim.cli import main
 from ewansim.energy import (
-    Activity,
-    EnergyLedger,
     EnergyParams,
     EnergyStorage,
     HarvestTrace,
-    consume,
-    per_activity_energy,
+    NodeAccount,
 )
 from ewansim.engine import RandomStreams
 from ewansim.flood import simulate_flood
@@ -349,15 +346,16 @@ def test_criterion_05_energy_arithmetic_and_week_long_conservation():
     """Spot joule arithmetic is exact and a 7-day run conserves energy to
     within 1 nJ per node with storage inside [0, capacity]."""
     params = EnergyParams()
-    led = EnergyLedger()
-    sto = EnergyStorage(e_cap=0.5)
-    amount = per_activity_energy(Activity.SLEEP, params, duration_s=1000.0)
-    died = consume(led, sto, "sleep", amount, 0.9)
-    assert not died
-    assert led.drawn("sleep") == pytest.approx(0.02981, abs=5e-6)
-    assert sto.e_cap == pytest.approx(0.47019, abs=5e-6)
-    assert per_activity_energy(Activity.BOOT_SAMPLE, params) == 13.655e-6
-    assert per_activity_energy(Activity.COM_INIT, params) == 17.25e-3
+    acct = NodeAccount(1, EnergyStorage(e_cap=0.5), params,
+                       HarvestTrace([0.0], 1000.0))
+    assert acct.advance(1000.0, (params.p_sleep, "sleep")) is None
+    assert acct.ledger.drawn("sleep") == pytest.approx(0.02981, abs=5e-6)
+    assert acct.storage.e_cap == pytest.approx(0.47019, abs=5e-6)
+    # a node powered on at t=0 pays each fixed cost once, through the
+    # buck converter
+    led = simulate_run(flat_scenario(1, horizon_s=60.0), "ewan", 1).ledgers[1]
+    assert led["boot"] == 13.655e-6 / 0.9
+    assert led["com_init"] == 17.25e-3 / 0.9
 
     sc = build_scenario("fh", 0.0, np.random.default_rng(5), days=7)
     res = simulate_run(sc, "ewan", 42)

@@ -273,8 +273,9 @@ class TestVerifyCommand:
 
     # parameter values that pass every structural check, but that made
     # run hang (sample_interval), end in a traceback (backoff_window,
-    # period_t, and verify itself on a zero bandwidth or datarate), write
-    # nan energies (p_idle) or treat a fraction as a count (p)
+    # period_t, a negative sh_retx_host, a tx power without a known
+    # supply draw, and verify itself on a zero bandwidth or datarate),
+    # write nan energies (p_idle) or treat a fraction as a count (p)
     @pytest.mark.parametrize("section, field, value", [
         ("energy", "sample_interval", float("nan")),
         ("energy", "p_idle", float("nan")),
@@ -283,9 +284,11 @@ class TestVerifyCommand:
         ("params", "period_t", float("nan")),
         ("params", "delta_t", float("nan")),
         ("params", "p", 1.5),
+        ("params", "sh_retx_host", -1),
         ("radio.single_hop", "bandwidth_hz", 0),
         ("radio.multi_hop", "datarate_bps", 0),
         ("radio.bootstrap", "tx_power_dbm", float("nan")),
+        ("radio.multi_hop", "tx_power_dbm", 13.0),
     ])
     def test_invalid_parameter_is_an_error_line(self, tmp_path, capsys,
                                                 section, field, value):
@@ -306,6 +309,24 @@ class TestVerifyCommand:
         assert code == 1
         assert err.startswith("error:")
         assert field in err
+
+    def test_sh_retx_node_is_an_unknown_field(self, tmp_path, capsys):
+        # saved scenarios of earlier versions carry sh_retx_node: 0, a
+        # field no run read; it is rejected by name instead of ignored
+        path = gen(tmp_path, "fh", "--kind", "fh", "--days", "1")
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+        doc["params"]["sh_retx_node"] = 0
+        with open(path, "w") as fh:
+            yaml.safe_dump(doc, fh, sort_keys=True)
+        with pytest.raises(ScenarioError, match="sh_retx_node"):
+            load_scenario(path)
+        capsys.readouterr()
+        code = main(["verify", "--scenario", path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "sh_retx_node" in err
 
     def test_traces_as_a_list_is_an_error_line(self, tmp_path, capsys):
         scen = self._fixed(tmp_path)

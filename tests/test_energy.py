@@ -8,31 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewansim.energy import (
-    Activity,
     EnergyLedger,
     EnergyParams,
     EnergyStorage,
     HarvestTrace,
     NodeAccount,
     consume,
-    per_activity_energy,
 )
-from ewansim.protocol.run import simulate_run
-from ewansim.radio import RadioConfig, RadioPowerTable
+from ewansim.engine import RandomStreams
+from ewansim.protocol.run import ProtocolRun, simulate_run
 
 import oracles
 from helpers import flat_scenario
 
 PARAMS = EnergyParams()
-TABLE = RadioPowerTable()
-FSK = RadioConfig(
-    modulation="fsk",
-    datarate_bps=250e3,
-    bandwidth_hz=312e3,
-    center_frequency_hz=864.6875e6,
-    tx_power_dbm=14.0,
-    sensitivity_dbm=-104.0,
-)
 
 
 def account(samples, e0=0.35, capacity_b=0.7, params=PARAMS,
@@ -156,7 +145,7 @@ class TestConsume:
     def test_sleep_thousand_seconds(self):
         led = EnergyLedger()
         sto = EnergyStorage(e_cap=0.5)
-        at_load = per_activity_energy(Activity.SLEEP, PARAMS, duration_s=1000.0)
+        at_load = PARAMS.p_sleep * 1000.0
         died = consume(led, sto, "sleep", at_load, 0.9)
         assert not died
         assert led.drawn("sleep") == pytest.approx(0.02981, abs=5e-6)
@@ -165,7 +154,7 @@ class TestConsume:
     def test_com_init_exceeding_storage_kills(self):
         led = EnergyLedger()
         sto = EnergyStorage(e_cap=0.010)
-        at_load = per_activity_energy(Activity.COM_INIT, PARAMS)
+        at_load = PARAMS.e_com_init
         died = consume(led, sto, "com_init", at_load, 0.9)
         assert died
         assert sto.e_cap == 0.0
@@ -220,34 +209,53 @@ class TestReactiveDecision:
         assert res.active_intervals[1] == [(0.0, 1800.0)]
 
 
+def _unstarted_run() -> ProtocolRun:
+    """A one-node ewan run without harvest that has not started yet."""
+    sc = flat_scenario(1, harvest_w=0.0)
+    return ProtocolRun(sc, "ewan", RandomStreams(11, 0), sc.traces)
+
+
 class TestPerActivityEnergy:
+    """What ProtocolRun draws per activity, booked through NodeAccount
+    on a trace without harvest."""
+
     def test_idle_one_second(self):
-        got = per_activity_energy(Activity.IDLE, PARAMS, duration_s=1.0)
-        assert got == pytest.approx(10.516e-3)
+        run = _unstarted_run()
+        acct = run.accounts[1]
+        assert acct.advance(1.0, run.load_idle) is None
+        assert acct.ledger.drawn("idle") * 0.9 == pytest.approx(10.516e-3)
 
     def test_sleep_one_second(self):
-        got = per_activity_energy(Activity.SLEEP, PARAMS, duration_s=1.0)
-        assert got == pytest.approx(26.831e-6)
+        run = _unstarted_run()
+        acct = run.accounts[1]
+        assert acct.advance(1.0, run.load_sleep) is None
+        assert acct.ledger.drawn("sleep") * 0.9 == pytest.approx(26.831e-6)
 
     def test_zero_toa_tx(self):
-        got = per_activity_energy(
-            Activity.TX, PARAMS, TABLE, duration_s=0.0, config=FSK
-        )
-        assert got == 0.0
+        run = _unstarted_run()
+        acct = run.accounts[1]
+        # +14 dBm on the multi-hop channel
+        assert run.load_mh.tx == (0.090, "tx")
+        assert acct.advance(0.0, run.load_mh.tx) is None
+        assert acct.ledger.drawn("tx") == 0.0
 
     def test_boot_wait_uses_boot_power(self):
-        got = per_activity_energy(Activity.BOOT_WAIT, PARAMS, duration_s=30.0)
-        assert got == pytest.approx(27.254e-6 * 30)
+        # below the start threshold the node waits off for the 30 s horizon
+        res = _one_node_run(0.1, horizon_s=30.0)
+        assert res.ledgers[1]["boot"] * 0.9 == pytest.approx(27.254e-6 * 30)
 
     def test_fixed_energies(self):
-        assert per_activity_energy(Activity.BOOT_SAMPLE, PARAMS) == 13.655e-6
-        assert per_activity_energy(Activity.COM_INIT, PARAMS) == 17.25e-3
+        # a node that powers on at t=0 and stays on pays each fixed cost
+        # exactly once
+        led = _one_node_run(0.7, horizon_s=60.0).ledgers[1]
+        assert led["boot"] == 13.655e-6 / 0.9
+        assert led["com_init"] == 17.25e-3 / 0.9
 
     def test_listen_uses_rx_power(self):
-        got = per_activity_energy(
-            Activity.LISTEN, PARAMS, TABLE, duration_s=2.0, config=FSK
-        )
-        assert got == pytest.approx(2 * 0.0164)
+        run = _unstarted_run()
+        acct = run.accounts[1]
+        assert acct.advance(2.0, run.load_mh.listen) is None
+        assert acct.ledger.drawn("listen") * 0.9 == pytest.approx(2 * 0.0164)
 
 
 class TestLedgerConservation:

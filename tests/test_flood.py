@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,23 +298,25 @@ class TestKernelMatchesReference:
 class TestReceptionTable:
     def test_entries_are_the_lone_packet_probabilities(self):
         links = ramp_matrix(7, seed=3)
-        table = links.reception_table(CFG, DEFAULT_RAMP_DB)
+        table = links.reception_table(CFG)
         for u in range(links.n):
             for v in range(links.n):
                 rx = CFG.tx_power_dbm - links.loss_db(u, v)
                 want = reception_probability(rx, CFG.sensitivity_dbm,
                                              DEFAULT_RAMP_DB)
                 assert table[u][v] == want
-                assert table[u][v] == links.link_probability(
-                    u, v, CFG, DEFAULT_RAMP_DB)
+                assert table[u][v] == links.link_probability(u, v, CFG)
                 assert table[u][v] == table[v][u]
         assert any(0.0 < p < 1.0 for row in table for p in row)
 
-    def test_table_is_cached_per_config_and_ramp(self):
+    def test_table_is_cached_per_config(self):
         links = ramp_matrix(4, seed=5)
-        table = links.reception_table(CFG, DEFAULT_RAMP_DB)
-        assert links.reception_table(CFG, DEFAULT_RAMP_DB) is table
-        assert links.reception_table(CFG, 3.0) is not table
+        table = links.reception_table(CFG)
+        assert links.reception_table(CFG) is table
+        assert links.reception_table(replace(CFG)) is table
+        quieter = replace(CFG, tx_power_dbm=10.0)
+        assert links.reception_table(quieter) is not table
+        assert links.reception_table(quieter) != table
         assert "_tables" not in repr(links)
         # the losses behind a cached table cannot change
         with pytest.raises(ValueError):
@@ -320,9 +324,9 @@ class TestReceptionTable:
 
     def test_reach_masks_are_the_table_as_bitmasks(self):
         links = ramp_matrix(7, seed=4)
-        table = links.reception_table(CFG, DEFAULT_RAMP_DB)
-        masks = links.reach_masks(CFG, DEFAULT_RAMP_DB)
-        assert links.reach_masks(CFG, DEFAULT_RAMP_DB) is masks
+        table = links.reception_table(CFG)
+        masks = links.reach_masks(CFG)
+        assert links.reach_masks(CFG) is masks
         for u in range(links.n):
             for v in range(links.n):
                 bit = 1 << v

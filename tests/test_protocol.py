@@ -339,14 +339,7 @@ class TestContendingSyncRequests:
 def _two_node_run_before(protocol: str, t: float) -> ProtocolRun:
     """Two nodes without harvest, run up to just before time t."""
     sc = flat_scenario(2, harvest_w=0.0, horizon_s=3600.0)
-    run = ProtocolRun(
-        protocol=protocol, n_nodes=2, links_multi_hop=sc.links_multi_hop,
-        links_single_hop=sc.links_single_hop, traces=sc.traces,
-        params=sc.params, vsn_configs=sc.vsn_configs,
-        energy_params=sc.energy_params,
-        storage_capacity_j=sc.storage_capacity_j,
-        initial_charge_j=sc.initial_charge_j, horizon_s=sc.horizon_s,
-        streams=RandomStreams(11, 0))
+    run = ProtocolRun(sc, protocol, RandomStreams(11, 0), sc.traces)
     run.queue.run_until(to_us(t) - 1, run._handle)
     return run
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,6 @@ from ewansim.engine import RandomStreams
 from ewansim.radio import (
     ConcurrentAttempt,
     RadioConfig,
-    RadioPowerTable,
     reception_probability,
     received_power,
     resolve_concurrent,
@@ -262,20 +262,10 @@ class TestResolveConcurrent:
 
 class TestPowerTable:
     def test_known_config(self):
-        t = RadioPowerTable()
-        assert t.tx_watts(lora_cfg(7)) == pytest.approx(0.090)
-        assert t.rx_watts(fsk_cfg()) == pytest.approx(0.0164)
+        assert lora_cfg(7).tx_watts == pytest.approx(0.090)
+        assert lora_cfg(7).rx_watts == pytest.approx(0.0158)
+        assert fsk_cfg().rx_watts == pytest.approx(0.0164)
 
     def test_unknown_tx_power_rejected(self):
-        t = RadioPowerTable()
-        cfg = lora_cfg(7)
-        odd = RadioConfig(
-            modulation="lora",
-            spreading_factor=7,
-            bandwidth_hz=125e3,
-            center_frequency_hz=cfg.center_frequency_hz,
-            tx_power_dbm=13.0,
-            sensitivity_dbm=-124.0,
-        )
-        with pytest.raises(ValueError):
-            t.tx_watts(odd)
+        with pytest.raises(ValueError, match="tx_power_dbm must be one of"):
+            replace(lora_cfg(7), tx_power_dbm=13.0)
