@@ -13,6 +13,7 @@ import numpy as np
 
 from ewansim.energy import EnergyParams, HarvestTrace
 from ewansim.links import LinkMatrix
+from ewansim.metrics import event_line
 from ewansim.protocol.params import ProtocolParams, default_vsn_configs
 from ewansim.protocol.run import RunHooks, simulate_run
 from ewansim.scenario import Scenario
@@ -43,12 +44,11 @@ def main() -> None:
     print(f"undisturbed run: {delivered} packets, all on the relay channel")
 
     hooks = RunHooks(blocked_multi_hop={1: [(2, 10 ** 6)]})
-    res = simulate_run(sc, "ewan", 42, hooks=hooks, collect_events=True)
+    res = simulate_run(sc, "ewan", 42, hooks=hooks)
     print("\nsame seed, relay path gone after round 1:")
-    for line in res.events:
-        tag = line.split()[1]
-        if tag in ("join", "sched_miss", "sync_ok", "power_on"):
-            print("  " + line)
+    for ev in res.events:
+        if ev.kind in ("join", "sched_miss", "sync_ok", "power_on"):
+            print("  " + event_line(ev))
 
     print("\nround-by-round for the node:")
     for rec in res.records:

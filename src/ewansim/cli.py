@@ -92,7 +92,7 @@ def _cmd_run(args) -> int:
     out = _out_dir(args.out)
     os.makedirs(out, exist_ok=True)
     result = simulate_run(scenario, args.protocol, args.seed,
-                          run_index=args.run_index, collect_events=True)
+                          run_index=args.run_index)
     metrics = compute_all_metrics(result)
     write_metrics_csv(os.path.join(out, "metrics.csv"), metrics)
     write_rounds_csv(os.path.join(out, "rounds.csv"), result)
@@ -142,10 +142,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_campaign(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -1,5 +1,6 @@
-"""Deterministic discrete-event core: simulated clock, ordered event queue,
-and seeded random streams shared by every protocol implementation.
+"""Deterministic discrete-event core: simulated clock, a queue of plain
+scheduled calls, and seeded random streams shared by every protocol
+implementation.
 
 Time is integer microseconds throughout the engine. Durations entering the
 engine are rounded up to the next microsecond, which keeps event comparisons
@@ -9,8 +10,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from enum import IntEnum
 from typing import Any, Callable
 
 import numpy as np
@@ -34,56 +33,43 @@ def to_s(time_us: int) -> float:
     return time_us / US_PER_S
 
 
-class EventKind(IntEnum):
-    ROUND_START = 0
-    WAKE_UP = 1
-    SYNC_REQUEST = 2
-    CUSTOM = 3
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    time_us: int
-    target: int
-    kind: EventKind
-    payload: Any = None
-
-
 class EventQueue:
-    """Min-heap of events ordered by (time, insertion sequence).
+    """Min-heap of scheduled calls ordered by (time, insertion sequence).
 
-    The insertion sequence is the tiebreaker, so two events never compare
-    equal and dequeue order is deterministic.
+    The insertion sequence is the tiebreaker, so two entries never compare
+    equal, their callables are never compared, and dequeue order is
+    deterministic.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._heap: list[tuple[int, int, Callable[..., Any], tuple]] = []
         self._seq = 0
         self.now_us = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, event: SimEvent) -> None:
-        if event.time_us < self.now_us:
+    def schedule(self, time_us: int, fn: Callable[..., Any], *args) -> None:
+        """Call fn(*args) when the clock reaches time_us."""
+        if time_us < self.now_us:
             raise SimulationError(
-                f"event scheduled in the past: t={event.time_us} < now={self.now_us}"
+                f"event scheduled in the past: t={time_us} < now={self.now_us}"
             )
-        heapq.heappush(self._heap, (event.time_us, self._seq, event))
+        heapq.heappush(self._heap, (time_us, self._seq, fn, args))
         self._seq += 1
 
-    def run_until(self, t_end_us: int, handler: Callable[[SimEvent], None]) -> int:
-        """Process every event with time <= t_end_us in order, then advance
-        the clock to t_end_us. Returns the processed count."""
+    def run_until(self, t_end_us: int) -> int:
+        """Make every call scheduled at or before t_end_us in order, then
+        advance the clock to t_end_us. Returns the count of calls made."""
         if t_end_us < self.now_us:
             raise SimulationError(
                 f"run_until target {t_end_us} precedes clock {self.now_us}"
             )
         processed = 0
         while self._heap and self._heap[0][0] <= t_end_us:
-            time_us, _, event = heapq.heappop(self._heap)
+            time_us, _, fn, args = heapq.heappop(self._heap)
             self.now_us = time_us
-            handler(event)
+            fn(*args)
             processed += 1
         self.now_us = t_end_us
         return processed

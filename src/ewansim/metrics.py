@@ -16,6 +16,7 @@ import csv
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .protocol.records import RunEvent
 from .protocol.run import RunResult
 
 METRIC_NAMES = ("efficiency", "liveness", "downtime")
@@ -150,11 +151,33 @@ def write_rounds_csv(path: str, result: RunResult):
                 ])
 
 
+# events.log text per RunEvent kind: {node} is the event's node, {0}, {1},
+# ... its data; event_line appends a multi-hop sync_ok's tau1
+EVENT_FORMATS = {
+    "power_on": "power_on node={node} e={0:.6f}",
+    "death": "death node={node}",
+    "sync_ok": "sync_ok node={node} {0}_round={1}",
+    "sync_fail": "sync_fail node={node}",
+    "join": "join node={node} vsn={0} via={1} k={2}",
+    "sched_miss": "sched_miss node={node} vsn={0} k={1} missed={2}",
+    "contend_won": "contend_won node={node} vsn={0} k={1}",
+    "round": "round {0} k={1} slots={2} present={3} delivered={4}",
+    "transition": "transition node={node} {0}->{1} ({2})",
+}
+
+
+def event_line(ev: RunEvent) -> str:
+    """One events.log line: the time to the microsecond, then the text."""
+    text = EVENT_FORMATS[ev.kind].format(*ev.data, node=ev.node)
+    if ev.kind == "sync_ok" and ev.data[0] == "mh":
+        text += f" tau1={ev.data[2]:.3f}"
+    return f"{ev.t:.6f} {text}"
+
+
 def write_events_log(path: str, result: RunResult):
-    lines = list(result.events)
-    for t, node, frm, to, event in result.transitions:
-        lines.append(f"{t:.6f} transition node={node} {frm}->{to} ({event})")
-    lines.sort(key=lambda s: float(s.split(" ", 1)[0]))
+    # at one printed time, other events precede transitions (a stable sort)
+    events = sorted(result.events, key=lambda ev: (
+        float(f"{ev.t:.6f}"), ev.kind == "transition"))
     with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        for ev in events:
+            fh.write(event_line(ev) + "\n")

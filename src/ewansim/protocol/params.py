@@ -105,7 +105,8 @@ class VsnConfigs:
 
 def default_vsn_configs() -> VsnConfigs:
     """Long-range chirp for bootstrapping and single-hop (distinct
-    channels), 250 kbit/s FSK for multi-hop, all at +14 dBm."""
+    channels), 250 kbit/s FSK for multi-hop, all at +14 dBm. Sensitivities
+    are nominal: -124 dBm for SF7 at 125 kHz, -104 dBm for 250 kbit/s FSK."""
     return VsnConfigs(
         bootstrap=RadioConfig(
             modulation="lora",

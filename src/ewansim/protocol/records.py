@@ -1,7 +1,19 @@
-"""Per-round result records shared by the protocols and the metrics."""
+"""Result records shared by the protocols and the metrics: per-round
+statistics and the run's typed event record."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+
+class RunEvent(NamedTuple):
+    """What a run did at t seconds to node (0, the host, for a round
+    summary); data holds the kind's fields, as metrics.event_line reads."""
+
+    t: float
+    kind: str
+    node: int
+    data: tuple
 
 
 @dataclass

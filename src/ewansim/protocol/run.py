@@ -27,7 +27,8 @@ whose storage is below a conservative worst-case round cost (a whole
 round at transmit power) is fragile: only fragile nodes are flushed at
 each slot end, so a death takes effect between slots and removes the
 node from later slots. Any other node cannot die within the round and
-is flushed once, at the round end.
+is flushed once, at the round end. The queue holds plain handler calls,
+and the run records what it does, transitions included, as RunEvents.
 """
 from __future__ import annotations
 
@@ -37,10 +38,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ..energy import CLOCK_EPS_S, EnergyStorage, HarvestTrace, NodeAccount
 from ..engine import (
-    EventKind,
     EventQueue,
     RandomStreams,
-    SimEvent,
     SimulationError,
     draw_uniform,
     to_s,
@@ -63,7 +62,7 @@ from .params import (
     SYNC_RESPONSE_DELAY_S,
     ProtocolParams,
 )
-from .records import NodeRoundStats, RoundRecord
+from .records import NodeRoundStats, RoundRecord, RunEvent
 from .rounds import MhRoundLayout, ShRoundLayout
 from .state import NodeState, TransitionEvent, Vsn, node_transition
 
@@ -149,10 +148,9 @@ class _RoundAccountant:
                     "tx": a[0] - b[0], "listen": a[1] - b[1],
                     "idle": a[2] - b[2]},
             )
-        self.run._log(record.round_start_s,
-                      f"round {self.tp.tag} k={record.round_index} "
-                      f"slots={n_slots} present={len(self.present)} "
-                      f"delivered={len(delivered)}")
+        self.run._event(record.round_start_s, "round", self.run.HOST,
+                        self.tp.tag, record.round_index, n_slots,
+                        len(self.present), len(delivered))
 
 
 class _FloodTransport:
@@ -376,8 +374,7 @@ class RunResult:
     records: list[RoundRecord]
     ledgers: dict[int, dict[str, float]]
     active_intervals: dict[int, list[tuple[float, float]]]
-    transitions: list[tuple[float, int, str, str, str]]
-    events: list[str]
+    events: list[RunEvent]
     initial_charge_j: float
     final_storage_j: dict[int, float]
     conservation_j: dict[int, float]
@@ -399,8 +396,7 @@ class ProtocolRun:
 
     def __init__(self, scenario, protocol: str, streams: RandomStreams,
                  traces: Mapping[int, HarvestTrace],
-                 hooks: Optional[RunHooks] = None,
-                 collect_events: bool = False):
+                 hooks: Optional[RunHooks] = None):
         n_nodes = scenario.n_nodes
         params = scenario.params
         horizon_s = scenario.horizon_s
@@ -420,7 +416,6 @@ class ProtocolRun:
         self.params = params
         self.horizon_s = horizon_s
         self.hooks = hooks or RunHooks()
-        self.collect = collect_events
 
         storage_b = scenario.storage_capacity_j
         eparams = scenario.energy_params
@@ -501,8 +496,7 @@ class ProtocolRun:
         self.book_sh = ScheduleBook(params.max_data_slots_sh, params.p)
 
         self.records: list[RoundRecord] = []
-        self.transitions: list[tuple[float, int, str, str, str]] = []
-        self.events: list[str] = []
+        self.events: list[RunEvent] = []
         self.active_since: dict[int, float] = {}
         self.active_intervals: dict[int, list[tuple[float, float]]] = {
             n: [] for n in self.nodes}
@@ -510,8 +504,7 @@ class ProtocolRun:
         self.queue = EventQueue()
         self._push_round_events()
         for n in self.nodes:
-            self.queue.schedule(SimEvent(
-                to_us(horizon_s), n, EventKind.CUSTOM, ("final", n)))
+            self.queue.schedule(to_us(horizon_s), self._final_advance, n)
 
         self._rx = streams.stream("reception")
         self._backoff = streams.stream("backoff")
@@ -524,33 +517,27 @@ class ProtocolRun:
 
     def _push_round_events(self):
         k = 0
-        while True:
-            start = self.params.mh_round_start(k)
-            if start >= self.horizon_s:
-                break
+        while (start := self.params.mh_round_start(k)) < self.horizon_s:
             if self.has_mh:
-                self.queue.schedule(SimEvent(
-                    to_us(start), self.HOST, EventKind.ROUND_START,
-                    ("multi_hop", k)))
+                self.queue.schedule(to_us(start), self._handle_round,
+                                    _FloodTransport, k)
             if self.sh_enabled:
                 sh_start = self.params.sh_round_start(k)
                 if sh_start < self.horizon_s:
-                    self.queue.schedule(SimEvent(
-                        to_us(sh_start), self.HOST, EventKind.ROUND_START,
-                        ("single_hop", k)))
+                    self.queue.schedule(to_us(sh_start), self._handle_round,
+                                        _HostTransport, k)
             k += 1
 
-    def _log(self, t: float, line: str):
-        if self.collect:
-            self.events.append(f"{t:.6f} {line}")
+    def _event(self, t: float, kind: str, node: int, *data):
+        self.events.append(RunEvent(t, kind, node, data))
 
     def _transition(self, node: int, event: TransitionEvent, t: float):
         old = self.nstate[node]
         new = node_transition(old, event, self.params.p, self.sh_enabled)
         self.nstate[node] = new
         if old.vsn is not new.vsn:
-            self.transitions.append(
-                (t, node, old.vsn.value, new.vsn.value, event.value))
+            self._event(t, "transition", node, old.vsn.value,
+                        new.vsn.value, event.value)
             self.members_mh.discard(node)
             self.members_sh.discard(node)
             if new.vsn is Vsn.MULTI_HOP:
@@ -599,6 +586,8 @@ class ProtocolRun:
                 return t
 
     def _power_on(self, node: int, t: float):
+        if self.nstate[node].vsn is not Vsn.OFF:
+            return
         acct = self.accounts[node]
         if acct.clock_s < t - CLOCK_EPS_S:
             acct.integrate(t, self.eparams.p_boot, "boot", die=False)
@@ -610,7 +599,7 @@ class ProtocolRun:
         self.active_since[node] = t
         died = (acct.spend(self.eparams.e_boot, "boot")
                 or acct.spend(self.eparams.e_com_init, "com_init"))
-        self._log(t, f"power_on node={node} e={acct.storage.e_cap:.6f}")
+        self._event(t, "power_on", node, acct.storage.e_cap)
         if died:
             self._kill(node, t)
             return
@@ -626,9 +615,8 @@ class ProtocolRun:
             self.accounts[node].integrate(
                 self.horizon_s, self.eparams.p_boot, "boot", die=False)
             return
-        self.queue.schedule(SimEvent(
-            max(to_us(wake), self.queue.now_us), node, EventKind.WAKE_UP,
-            (node, wake)))
+        self.queue.schedule(max(to_us(wake), self.queue.now_us),
+                            self._power_on, node, wake)
 
     def _kill(self, node: int, t: float):
         self._transition(node, TransitionEvent.ENERGY_DEPLETED, t)
@@ -638,7 +626,7 @@ class ProtocolRun:
         start = self.active_since.pop(node, None)
         if start is not None:
             self.active_intervals[node].append((start, t))
-        self._log(t, f"death node={node}")
+        self._event(t, "death", node)
         self._rearm_scan(node)
 
     def _enter_bootstrap(self, node: int, t: float):
@@ -652,9 +640,8 @@ class ProtocolRun:
             return
         self.sync_token[node] += 1
         self.pending_sync[node] = t
-        self.queue.schedule(SimEvent(
-            max(to_us(t), self.queue.now_us), node, EventKind.SYNC_REQUEST,
-            (node, self.sync_token[node], t)))
+        self.queue.schedule(max(to_us(t), self.queue.now_us),
+                            self._handle_sync, node, self.sync_token[node], t)
 
     # ------------------------------------------------------------------
     # bootstrapping handshake
@@ -716,7 +703,7 @@ class ProtocolRun:
             if m == winner:
                 self._register_synced(m, listen_end)
             else:
-                self._log(t, f"sync_fail node={m}")
+                self._event(t, "sync_fail", m)
                 self._retry_sync(m, listen_end)
 
     def _retry_sync(self, node: int, t: float):
@@ -729,12 +716,11 @@ class ProtocolRun:
             k1, t1 = self.params.next_mh_round_after(t)
             resp = host_handle_sync_request(t, t1, self.params)
             self.wait_mh[k1].append((node, self.sync_token[node]))
-            self._log(t, f"sync_ok node={node} mh_round={k1} "
-                         f"tau1={resp.tau1:.3f}")
+            self._event(t, "sync_ok", node, "mh", k1, resp.tau1)
         else:  # single-hop baseline: response carries the next round time
             k1, _ = self.params.next_sh_round_after(t)
             self.wait_sh[k1].append((node, "bootstrap", self.sync_token[node]))
-            self._log(t, f"sync_ok node={node} sh_round={k1}")
+            self._event(t, "sync_ok", node, "sh", k1)
 
     def _host_capture(self, cfg: RadioConfig,
                       nodes: Sequence[int]) -> Optional[int]:
@@ -797,9 +783,10 @@ class ProtocolRun:
                 alive.append(n)
         return alive
 
-    def _handle_round(self, tp, k: int):
-        """Round k of tp's VSN: roles from the first schedule's reception,
-        then the slot plan, booking every participant's energy."""
+    def _handle_round(self, transport, k: int):
+        """Round k on the transport class's VSN: roles from the first
+        schedule, then the slot plan, booking every participant's energy."""
+        tp = transport(self, k)
         layout = tp.layout
         rs = tp.rs
         pairs = tp.gather()
@@ -828,8 +815,7 @@ class ProtocolRun:
                                  if role == "sample" else tp.received_event,
                                  rs)
                 if role != "member":
-                    self._log(rs, f"join node={n} vsn={tp.tag} via={role} "
-                                  f"k={k}")
+                    self._event(rs, "join", n, tp.tag, role, k)
                 if role == "listen":
                     self.mhb_listeners.discard(n)
                 if sample:
@@ -851,8 +837,8 @@ class ProtocolRun:
                     self._retry_sync(n, leave_t)
             else:
                 st = self._transition(n, TransitionEvent.MISSED_SCHEDULE, rs)
-                self._log(rs, f"sched_miss node={n} vsn={tp.tag} k={k} "
-                              f"missed={st.missed_schedules}")
+                self._event(rs, "sched_miss", n, tp.tag, k,
+                            st.missed_schedules)
                 if role == "bootstrap":
                     self._retry_sync(n, leave_t)
                 elif (st.vsn is Vsn.MULTI_HOP
@@ -881,8 +867,7 @@ class ProtocolRun:
                     w = tp.contend(live, alive, span, acc)
                     if w is not None:
                         tp.book.enqueue_demand(w)
-                        self._log(rs, f"contend_won node={w} vsn={tp.tag} "
-                                      f"k={k}")
+                        self._event(rs, "contend_won", w, tp.tag, k)
             elif what == "schedule":
                 used = bool(alive)
                 if used:
@@ -910,23 +895,6 @@ class ProtocolRun:
     # ------------------------------------------------------------------
     # main loop
 
-    def _handle(self, ev: SimEvent):
-        if ev.kind is EventKind.ROUND_START:
-            vsn, k = ev.payload
-            tp = _FloodTransport if vsn == "multi_hop" else _HostTransport
-            self._handle_round(tp(self, k), k)
-        elif ev.kind is EventKind.SYNC_REQUEST:
-            node, token, t = ev.payload
-            self._handle_sync(node, token, t)
-        elif ev.kind is EventKind.WAKE_UP:
-            node, t = ev.payload
-            if self.nstate[node].vsn is Vsn.OFF:
-                self._power_on(node, t)
-        elif ev.kind is EventKind.CUSTOM:
-            tag, node = ev.payload
-            if tag == "final":
-                self._final_advance(node)
-
     def _final_advance(self, node: int):
         horizon = self.horizon_s
         while True:
@@ -946,7 +914,7 @@ class ProtocolRun:
             self._kill(node, d)
 
     def run(self) -> RunResult:
-        self.queue.run_until(to_us(self.horizon_s), self._handle)
+        self.queue.run_until(to_us(self.horizon_s))
         horizon = self.horizon_s
         final_storage = {}
         conservation = {}
@@ -971,7 +939,6 @@ class ProtocolRun:
                      for n in self.nodes},
             active_intervals={n: list(v)
                               for n, v in self.active_intervals.items()},
-            transitions=self.transitions,
             events=self.events,
             initial_charge_j=self.initial_charge_j,
             final_storage_j=final_storage,
@@ -985,7 +952,6 @@ def simulate_run(
     master_seed: int,
     run_index: int = 0,
     hooks: Optional[RunHooks] = None,
-    collect_events: bool = False,
     traces: Optional[Mapping[int, HarvestTrace]] = None,
 ) -> RunResult:
     """Run one protocol over one scenario with one seeded stream set.
@@ -998,5 +964,4 @@ def simulate_run(
     streams = RandomStreams(master_seed, run_index)
     if traces is None:
         traces = scenario.traces_for_run(streams.stream("traces"))
-    return ProtocolRun(scenario, protocol, streams, traces, hooks,
-                       collect_events).run()
+    return ProtocolRun(scenario, protocol, streams, traces, hooks).run()

@@ -15,25 +15,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# nominal sensitivity at BW 125 kHz per spreading factor (dBm)
-LORA_SENSITIVITY_DBM = {
-    5: -117.0,
-    6: -121.0,
-    7: -124.0,
-    8: -127.0,
-    9: -130.0,
-    10: -133.0,
-    11: -135.0,
-    12: -137.0,
-}
-
-# nominal FSK sensitivity per datarate (dBm)
-FSK_SENSITIVITY_DBM = {
-    50_000: -109.0,
-    125_000: -106.0,
-    250_000: -104.0,
-}
-
 # supply power drawn from the node's regulated rail while transmitting,
 # keyed by configured output power (dBm) -> watts
 TX_SUPPLY_W = {

@@ -378,6 +378,9 @@ def verify_scenario(scenario: Scenario) -> List[str]:
         unreachable = [v for v, d in depths.items() if d < 0]
         if unreachable:
             out.append(f"nodes unreachable over short-range links: {unreachable}")
+    elif kind != "case_study":
+        out.append(f"unknown scenario kind {kind!r}; expected one of "
+                   f"{', '.join(TOPOLOGY_KINDS)} or case_study")
     if kind == "ob":
         direct = sum(1 for d in depths.values() if d == 1)
         if direct < 10:
@@ -553,6 +556,13 @@ def _from_dict(cls, d: dict):
                   for k, v in dict(d).items()})
 
 
+# the top-level keys save_scenario writes; load_scenario rejects any other
+_SCENARIO_KEYS = frozenset((
+    "format", "kind", "n_nodes", "horizon_s", "storage_capacity_j",
+    "initial_charge_j", "params", "energy", "radio", "links_multi_hop",
+    "links_single_hop", "bottleneck", "trace_gen", "traces"))
+
+
 def save_scenario(scenario: Scenario, out_dir: str) -> str:
     """Write scenario.yaml plus one trace CSV per node; returns the yaml path."""
     os.makedirs(out_dir, exist_ok=True)
@@ -646,6 +656,14 @@ def load_scenario(path: str) -> Scenario:
                 f"malformed scenario file {path}: {exc}") from exc
     base = os.path.dirname(path)
     try:
+        fmt = doc["format"] if "format" in doc else "missing"
+        if type(fmt) is not int or fmt != 1:
+            raise ScenarioError(f"{path}: scenario format {fmt} is not "
+                                f"supported; this version reads format 1")
+        unknown = sorted(str(key) for key in doc if key not in _SCENARIO_KEYS)
+        if unknown:
+            raise ScenarioError(f"{path}: unknown top-level keys: "
+                                f"{', '.join(unknown)}")
         n_nodes = int(doc["n_nodes"])
         short = np.asarray(doc["links_multi_hop"], dtype=float)
         long_range = np.asarray(doc["links_single_hop"], dtype=float)

@@ -42,3 +42,10 @@ def mh_records(result):
 
 def sh_records(result):
     return [r for r in result.records if r.vsn == "single_hop"]
+
+
+def transitions(result):
+    """The VSN transitions of a RunResult or a ProtocolRun as
+    (t, node, old vsn, new vsn, cause) tuples, in the order emitted."""
+    return [(ev.t, ev.node, *ev.data) for ev in result.events
+            if ev.kind == "transition"]

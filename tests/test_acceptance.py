@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import flat_scenario, mh_records, sh_records
+from helpers import flat_scenario, mh_records, sh_records, transitions
 
 from ewansim.campaign import run_campaign
 from ewansim.cli import main
@@ -28,6 +28,7 @@ from ewansim.energy import (
 from ewansim.engine import RandomStreams
 from ewansim.flood import simulate_flood
 from ewansim.links import LinkMatrix
+from ewansim.metrics import event_line
 from ewansim.protocol.params import ProtocolParams, default_vsn_configs
 from ewansim.protocol.run import RunHooks, simulate_run
 from ewansim.protocol.state import NodeState, TransitionEvent, Vsn, node_transition
@@ -100,16 +101,16 @@ def test_criterion_01_severed_node_transmits_single_hop_605_s_later():
                  if 1 in r.nodes and r.nodes[1].received_first_schedule)
 
     hooks = RunHooks(blocked_multi_hop={1: [(first + 1, 10 ** 6)]})
-    res = simulate_run(sc, "ewan", 42, hooks=hooks, collect_events=True)
+    res = simulate_run(sc, "ewan", 42, hooks=hooks)
 
     t_cut = first * PERIOD
     k_join = first + 2
     t_join = t_cut + 605.0
     line = f"{t_join:.6f} join node=1 vsn=sh via=mh_exit k={k_join}"
-    assert line in res.events
+    assert line in [event_line(ev) for ev in res.events]
 
     assert (t_join, 1, "multi_hop", "single_hop",
-            "received_sh_schedule") in res.transitions
+            "received_sh_schedule") in transitions(res)
     rec = next(r for r in sh_records(res) if r.round_index == k_join)
     assert rec.round_start_s == t_join
     assert rec.nodes[1].energy_by_category["tx"] > 0.0
@@ -135,7 +136,7 @@ def test_criterion_02_reconnectable_nodes_sampled_back_within_one_period():
     hooks = RunHooks(blocked_multi_hop={1: [(0, 5)], 2: [(0, 5)]})
     res = simulate_run(sc, "ewan", 42, hooks=hooks)
     joins = {}
-    for t, v, old, new, ev in res.transitions:
+    for t, v, old, new, ev in transitions(res):
         if ev == "sampled_mh_success" and v not in joins:
             assert (old, new) == ("single_hop", "multi_hop")
             joins[v] = t
@@ -147,7 +148,7 @@ def test_criterion_02_reconnectable_nodes_sampled_back_within_one_period():
     hooks = RunHooks(blocked_multi_hop={1: [(0, 6)], 2: [(0, 6)]})
     res = simulate_run(sc, "ewan", 42, hooks=hooks)
     joins = {}
-    for t, v, old, new, ev in res.transitions:
+    for t, v, old, new, ev in transitions(res):
         if ev == "sampled_mh_success" and v not in joins:
             joins[v] = t
     t_conn = 6 * PERIOD
@@ -177,16 +178,14 @@ def test_criterion_03_full_membership_within_bootstrap_plus_two_rounds():
         params=ProtocolParams(), vsn_configs=default_vsn_configs(),
         energy_params=EnergyParams(), horizon_s=horizon,
         storage_capacity_j=50.0, initial_charge_j=50.0, traces=traces)
-    res = simulate_run(sc, "ewan", 42, collect_events=True)
+    res = simulate_run(sc, "ewan", 42)
 
     sync_t = {}
-    for line in res.events:
-        parts = line.split()
-        if parts[1] == "sync_ok":
-            v = int(parts[2].split("=")[1])
-            sync_t.setdefault(v, float(parts[0]))
+    for ev in res.events:
+        if ev.kind == "sync_ok":
+            sync_t.setdefault(ev.node, ev.t)
     join_t = {}
-    for t, v, old, new, ev in res.transitions:
+    for t, v, old, new, ev in transitions(res):
         if new == "multi_hop" and v not in join_t:
             join_t[v] = t
 
@@ -196,7 +195,7 @@ def test_criterion_03_full_membership_within_bootstrap_plus_two_rounds():
     late = {v: t for v, t in join_t.items() if t > t_boot + 2 * PERIOD}
     assert not late, late
 
-    assert not any(old == "multi_hop" for _, _, old, _, _ in res.transitions)
+    assert not any(old == "multi_hop" for _, _, old, _, _ in transitions(res))
     rounds = mh_records(res)
     assert len(rounds) >= 100
     assert all(rounds[-1].nodes[v].received_first_schedule

@@ -310,6 +310,38 @@ class TestVerifyCommand:
         assert err.startswith("error:")
         assert field in err
 
+    # a file this version cannot read: another format, no format, a key
+    # save_scenario never writes, or a kind with no topology contract
+    @pytest.mark.parametrize("edit, message", [
+        ({"format": 7, "horizon_sec": 1.0}, "scenario format 7"),
+        ({"format": None}, "scenario format missing"),
+        ({"horizon_sec": 1.0}, "unknown top-level keys: horizon_sec"),
+        ({"kind": "zz"}, "unknown scenario kind 'zz'"),
+    ], ids=["format-7", "no-format", "stray-key", "kind-zz"])
+    def test_unreadable_scenario_is_an_error_line(self, tmp_path, capsys,
+                                                  edit, message):
+        path = gen(tmp_path, "fh", "--kind", "fh", "--seed", "3",
+                   "--days", "1")
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+        for key, value in edit.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        with open(path, "w") as fh:
+            yaml.safe_dump(doc, fh, sort_keys=True)
+        capsys.readouterr()
+        for argv in (["verify", "--scenario", path],
+                     ["run", "--scenario", path, "--protocol", "ewan",
+                      "--seed", "3", "--out", str(tmp_path / "out")]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err.startswith("error:")
+            assert message in err
+        assert not os.path.exists(tmp_path / "out" / "metrics.csv")
+
     def test_sh_retx_node_is_an_unknown_field(self, tmp_path, capsys):
         # saved scenarios of earlier versions carry sh_retx_node: 0, a
         # field no run read; it is rejected by name instead of ignored

@@ -15,7 +15,16 @@ def run_demo(name: str, capsys) -> str:
 
 def test_severed_link_falls_back_to_single_hop_605_s_later(capsys):
     out = run_demo("severed_link.py", capsys)
-    assert "join node=1 vsn=sh via=mh_exit k=3" in out
+    events = [line.strip() for line in out.splitlines()
+              if line.startswith("  ") and "node=" in line]
+    assert events == [
+        "0.000000 power_on node=1 e=0.680818",
+        "14.162223 sync_ok node=1 mh_round=1 tau1=285.838",
+        "300.000000 join node=1 vsn=mh via=bootstrap k=1",
+        "600.000000 sched_miss node=1 vsn=mh k=2 missed=1",
+        "900.000000 sched_miss node=1 vsn=mh k=3 missed=2",
+        "905.000000 join node=1 vsn=sh via=mh_exit k=3",
+    ]
     assert "t=  905.0  single_hop  k=3  schedule=yes" in out
     assert "605 s later" in out
 

@@ -19,7 +19,7 @@ from ewansim.engine import RandomStreams
 from ewansim.protocol.run import ProtocolRun, simulate_run
 
 import oracles
-from helpers import flat_scenario
+from helpers import flat_scenario, transitions
 
 PARAMS = EnergyParams()
 
@@ -181,23 +181,23 @@ class TestReactiveDecision:
 
     def test_surpassing_threshold_starts(self):
         res = _one_node_run(0.116)
-        assert res.transitions[0] == (0.0, 1, "off", "bootstrapping",
+        assert transitions(res)[0] == (0.0, 1, "off", "bootstrapping",
                                       "energy_start")
 
     def test_below_threshold_stays_off(self):
         res = _one_node_run(0.114)
-        assert res.transitions == []
+        assert transitions(res) == []
         assert res.active_intervals[1] == []
 
     def test_threshold_comparison_is_strict(self):
         # a charge exactly at the threshold with no harvest never starts
         res = _one_node_run(0.115)
-        assert res.transitions == []
+        assert transitions(res) == []
         assert res.active_intervals[1] == []
 
     def test_depletion_powers_off(self):
         res = _one_node_run(0.116, horizon_s=6 * 3600.0)
-        offs = [(t, why) for t, _, _, new, why in res.transitions
+        offs = [(t, why) for t, _, _, new, why in transitions(res)
                 if new == "off"]
         assert offs and all(why == "energy_depleted" for _, why in offs)
         assert res.final_storage_j[1] == 0.0
@@ -205,7 +205,7 @@ class TestReactiveDecision:
 
     def test_keeps_communicating_above_zero(self):
         res = _one_node_run(0.7, harvest_w=2e-3)
-        assert all(new != "off" for _, _, _, new, _ in res.transitions)
+        assert all(new != "off" for _, _, _, new, _ in transitions(res))
         assert res.active_intervals[1] == [(0.0, 1800.0)]
 
 

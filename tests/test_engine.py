@@ -6,80 +6,86 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewansim.engine import (
-    EventKind,
     EventQueue,
     RandomStreams,
-    SimEvent,
     SimulationError,
     draw_uniform,
     to_us,
 )
 
 
-def ev(t_us: int, target: int = 0, kind: EventKind = EventKind.CUSTOM) -> SimEvent:
-    return SimEvent(time_us=t_us, target=target, kind=kind)
+def noop() -> None:
+    pass
 
 
 class TestEventQueue:
     def test_single_event_dequeues(self):
         q = EventQueue()
-        q.schedule(ev(5_000_000))
         seen = []
-        n = q.run_until(10_000_000, seen.append)
+        q.schedule(5_000_000, lambda: seen.append(q.now_us))
+        n = q.run_until(10_000_000)
         assert n == 1
-        assert seen[0].time_us == 5_000_000
+        assert seen == [5_000_000]
+
+    def test_scheduled_call_gets_its_arguments(self):
+        q = EventQueue()
+        seen = []
+        q.schedule(5, lambda *a: seen.append(a), 1, "x", (2, 3))
+        q.schedule(5, lambda *a: seen.append(a))
+        q.run_until(5)
+        assert seen == [(1, "x", (2, 3)), ()]
 
     def test_equal_time_dequeues_in_insertion_order(self):
         q = EventQueue()
-        q.schedule(ev(5_000_000, target=1))
-        q.schedule(ev(5_000_000, target=2))
         seen = []
-        q.run_until(6_000_000, seen.append)
-        assert [e.target for e in seen] == [1, 2]
+        q.schedule(5_000_000, seen.append, 1)
+        q.schedule(5_000_000, seen.append, 2)
+        q.run_until(6_000_000)
+        assert seen == [1, 2]
 
     def test_past_event_rejected(self):
         q = EventQueue()
-        q.run_until(5_000_000, lambda e: None)
+        q.run_until(5_000_000)
         with pytest.raises(SimulationError):
-            q.schedule(ev(4_000_000))
+            q.schedule(4_000_000, noop)
 
     def test_run_until_empty_queue(self):
         q = EventQueue()
-        assert q.run_until(10_000_000, lambda e: None) == 0
+        assert q.run_until(10_000_000) == 0
         assert q.now_us == 10_000_000
 
     def test_events_beyond_t_end_stay_queued(self):
         q = EventQueue()
         for t in (1, 2, 3, 9):
-            q.schedule(ev(t * 1_000_000))
-        assert q.run_until(3_000_000, lambda e: None) == 3
+            q.schedule(t * 1_000_000, noop)
+        assert q.run_until(3_000_000) == 3
         assert len(q) == 1
 
     def test_handler_scheduling_past_event_propagates(self):
         q = EventQueue()
-        q.schedule(ev(3_000_000))
 
-        def handler(e: SimEvent):
-            q.schedule(ev(1_000_000))
+        def handler():
+            q.schedule(1_000_000, noop)
 
+        q.schedule(3_000_000, handler)
         with pytest.raises(SimulationError):
-            q.run_until(5_000_000, handler)
+            q.run_until(5_000_000)
 
     def test_clock_monotone_over_processing(self):
         q = EventQueue()
         times = [7, 3, 5, 3, 9, 1]
-        for t in times:
-            q.schedule(ev(t * 1000))
         seen = []
-        q.run_until(10_000, seen.append)
-        processed = [e.time_us for e in seen]
-        assert processed == sorted(processed)
+        for t in times:
+            q.schedule(t * 1000, lambda: seen.append(q.now_us))
+        q.run_until(10_000)
+        assert seen == sorted(seen)
+        assert seen == sorted(t * 1000 for t in times)
 
     def test_run_until_backwards_rejected(self):
         q = EventQueue()
-        q.run_until(10, lambda e: None)
+        q.run_until(10)
         with pytest.raises(SimulationError):
-            q.run_until(5, lambda e: None)
+            q.run_until(5)
 
 
 class TestToUs:
@@ -138,8 +144,12 @@ class TestRandomStreams:
 @settings(max_examples=50, deadline=None)
 def test_queue_processes_any_batch_in_time_order(times):
     q = EventQueue()
-    for t in times:
-        q.schedule(ev(t))
     seen = []
-    assert q.run_until(max(times), seen.append) == len(times)
-    assert [e.time_us for e in seen] == sorted(times)
+    for i, t in enumerate(times):
+        q.schedule(t, lambda t=t, i=i: seen.append((q.now_us, t, i)))
+    assert q.run_until(max(times)) == len(times)
+    # the clock reads each entry's own time when it is called, and equal
+    # times keep their insertion order
+    assert [(now, i) for now, _, i in seen] == sorted(
+        (t, i) for i, t in enumerate(times))
+    assert all(now == t for now, t, _ in seen)

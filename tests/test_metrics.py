@@ -14,16 +14,18 @@ from ewansim.campaign import (
     write_campaign_csvs,
 )
 from ewansim.metrics import (
+    EVENT_FORMATS,
     NodeMetrics,
     compute_all_metrics,
     compute_node_metrics,
+    event_line,
     write_events_log,
     write_metrics_csv,
     write_rounds_csv,
 )
 from ewansim.protocol.params import ProtocolParams
-from ewansim.protocol.records import NodeRoundStats, RoundRecord
-from ewansim.protocol.run import RunResult, simulate_run
+from ewansim.protocol.records import NodeRoundStats, RoundRecord, RunEvent
+from ewansim.protocol.run import PROTOCOLS, RunHooks, RunResult, simulate_run
 from ewansim.scenario import build_scenario
 
 from helpers import flat_scenario
@@ -48,7 +50,6 @@ def synthetic_result(records, active, horizon_s=2000.0, e_in=4.0,
         ledgers={n: {"e_in": e_in} for n in range(1, n_nodes + 1)},
         active_intervals={n: list(active.get(n, ()))
                           for n in range(1, n_nodes + 1)},
-        transitions=[],
         events=[],
         initial_charge_j=0.0,
         final_storage_j={n: 0.0 for n in range(1, n_nodes + 1)},
@@ -184,7 +185,7 @@ class TestCsvWriters:
 
     def test_events_log_is_time_sorted(self, tmp_path):
         sc = flat_scenario(2)
-        res = simulate_run(sc, "ewan", master_seed=11, collect_events=True)
+        res = simulate_run(sc, "ewan", master_seed=11)
         path = tmp_path / "events.log"
         write_events_log(str(path), res)
         lines = path.read_text().splitlines()
@@ -192,6 +193,78 @@ class TestCsvWriters:
         assert stamps == sorted(stamps)
         assert any("transition" in line for line in lines)
         assert any("power_on" in line for line in lines)
+
+
+# one RunEvent of each kind and the line the run wrote for it before
+# events were typed records
+EVENT_LINES = [
+    (RunEvent(12.5, "power_on", 3, (0.12345678,)),
+     "12.500000 power_on node=3 e=0.123457"),
+    (RunEvent(4000.0000004, "death", 2, ()), "4000.000000 death node=2"),
+    (RunEvent(31.25, "sync_ok", 1, ("mh", 2, 285.83791)),
+     "31.250000 sync_ok node=1 mh_round=2 tau1=285.838"),
+    (RunEvent(31.25, "sync_ok", 1, ("sh", 4)),
+     "31.250000 sync_ok node=1 sh_round=4"),
+    (RunEvent(7.1234565, "sync_fail", 2, ()), "7.123456 sync_fail node=2"),
+    (RunEvent(905.0, "join", 1, ("sh", "mh_exit", 3)),
+     "905.000000 join node=1 vsn=sh via=mh_exit k=3"),
+    (RunEvent(600.0, "sched_miss", 1, ("mh", 2, 1)),
+     "600.000000 sched_miss node=1 vsn=mh k=2 missed=1"),
+    (RunEvent(1500.0, "contend_won", 2, ("sh", 5)),
+     "1500.000000 contend_won node=2 vsn=sh k=5"),
+    (RunEvent(2100.0, "round", 0, ("mh", 7, 3, 4, 2)),
+     "2100.000000 round mh k=7 slots=3 present=4 delivered=2"),
+    (RunEvent(905.0, "transition", 1,
+              ("multi_hop", "single_hop", "received_sh_schedule")),
+     "905.000000 transition node=1 multi_hop->single_hop "
+     "(received_sh_schedule)"),
+]
+
+
+class TestEventLog:
+    @pytest.mark.parametrize("ev, line", EVENT_LINES,
+                             ids=[ev.kind for ev, _ in EVENT_LINES])
+    def test_event_line_matches_the_log_text(self, ev, line):
+        assert event_line(ev) == line
+
+    def test_every_kind_has_a_case(self):
+        assert {ev.kind for ev, _ in EVENT_LINES} == set(EVENT_FORMATS)
+
+    def test_event_comes_before_transition_at_one_printed_time(self,
+                                                               tmp_path):
+        # emitted transition first, and 0.1 us later than the event; both
+        # print as 5.000000
+        events = [
+            RunEvent(5.0000004, "transition", 1,
+                     ("bootstrapping", "multi_hop", "received_mh_schedule")),
+            RunEvent(5.0000001, "death", 2, ()),
+            RunEvent(4.5, "transition", 2,
+                     ("off", "bootstrapping", "energy_start")),
+            RunEvent(5.0, "death", 3, ()),
+        ]
+        res = synthetic_result([], {})
+        res.events = events
+        path = tmp_path / "events.log"
+        write_events_log(str(path), res)
+        assert path.read_text().splitlines() == [
+            "4.500000 transition node=2 off->bootstrapping (energy_start)",
+            "5.000000 death node=2",
+            "5.000000 death node=3",
+            "5.000000 transition node=1 bootstrapping->multi_hop "
+            "(received_mh_schedule)",
+        ]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_runs_emit_only_kinds_the_renderer_knows(self, protocol):
+        hooks = RunHooks(blocked_multi_hop={1: [(2, 10 ** 6)]},
+                         blocked_single_hop={2: [(3, 4)]})
+        res = simulate_run(flat_scenario(3, harvest_w=5e-3), protocol,
+                           master_seed=11, hooks=hooks)
+        kinds = {ev.kind for ev in res.events}
+        assert {"power_on", "round", "transition"} <= kinds
+        assert kinds <= set(EVENT_FORMATS)
+        for ev in res.events:
+            event_line(ev)
 
 
 class TestCampaign:

@@ -29,7 +29,7 @@ from ewansim.protocol.state import (
 )
 from ewansim.scenario import build_scenario
 
-from helpers import flat_scenario, mh_records, sh_records
+from helpers import flat_scenario, mh_records, sh_records, transitions
 
 PARAMS = ProtocolParams()
 
@@ -281,7 +281,7 @@ class TestSingleMemberRuns:
 
     def test_join_happens_within_two_periods(self):
         res = simulate_run(flat_scenario(1), "ewan", master_seed=11)
-        t_join = min(t for t, n, _, new, _ in res.transitions
+        t_join = min(t for t, n, _, new, _ in transitions(res)
                      if n == 1 and new == "multi_hop")
         assert t_join <= 2 * PARAMS.period_t
 
@@ -294,7 +294,7 @@ class TestSingleMemberRuns:
     def test_single_hop_baseline_never_touches_multi_hop(self):
         res = simulate_run(flat_scenario(1), "single_hop", master_seed=11)
         assert mh_records(res) == []
-        assert all(new != "multi_hop" for _, _, _, new, _ in res.transitions)
+        assert all(new != "multi_hop" for _, _, _, new, _ in transitions(res))
         delivered = res.delivered_by_node()
         assert delivered.get(1, 0) >= 4
 
@@ -305,21 +305,21 @@ class TestSeveredLinkFallback:
     def test_ewan_member_falls_back_to_single_hop(self):
         res = simulate_run(flat_scenario(1), "ewan", master_seed=11,
                            hooks=self.HOOKS)
-        kinds = [(old, new) for _, n, old, new, _ in res.transitions if n == 1]
+        kinds = [(old, new) for _, n, old, new, _ in transitions(res) if n == 1]
         assert ("multi_hop", "single_hop") in kinds
         late_sh = [r for r in sh_records(res)
                    if r.round_start_s > 4 * PARAMS.period_t]
         assert sum(r.delivered_total for r in late_sh) >= 2
         # every m-th single-hop round samples the still-severed multi-hop
         # channel, so the node keeps its single-hop membership to the end
-        assert [new for _, n, _, new, _ in res.transitions if n == 1][-1] == \
+        assert [new for _, n, _, new, _ in transitions(res) if n == 1][-1] == \
             "single_hop"
 
     def test_drb_member_can_only_rebootstrap(self):
         res = simulate_run(flat_scenario(1), "drb", master_seed=11,
                            hooks=self.HOOKS)
-        assert all(new != "single_hop" for _, _, _, new, _ in res.transitions)
-        kinds = [(old, new) for _, n, old, new, _ in res.transitions if n == 1]
+        assert all(new != "single_hop" for _, _, _, new, _ in transitions(res))
+        kinds = [(old, new) for _, n, old, new, _ in transitions(res) if n == 1]
         assert ("multi_hop", "bootstrapping") in kinds
         late = [r for r in res.records
                 if r.round_start_s > 4 * PARAMS.period_t]
@@ -340,7 +340,7 @@ def _two_node_run_before(protocol: str, t: float) -> ProtocolRun:
     """Two nodes without harvest, run up to just before time t."""
     sc = flat_scenario(2, harvest_w=0.0, horizon_s=3600.0)
     run = ProtocolRun(sc, protocol, RandomStreams(11, 0), sc.traces)
-    run.queue.run_until(to_us(t) - 1, run._handle)
+    run.queue.run_until(to_us(t) - 1)
     return run
 
 
@@ -392,10 +392,10 @@ class TestCarefulRound:
 
         run._flood = spy
         before = acct.drawn_snapshot()
-        run.queue.run_until(to_us(rs), run._handle)
+        run.queue.run_until(to_us(rs))
         after = acct.drawn_snapshot()
 
-        (t_death,) = [t for t, n, _, new, _ in run.transitions
+        (t_death,) = [t for t, n, _, new, _ in transitions(run)
                       if n == 1 and new == "off"]
         assert rs + sched_span <= t_death < re
         stats = run.records[-1].nodes[1]
@@ -435,7 +435,7 @@ class TestCarefulRound:
 
         monkeypatch.setattr(_RoundAccountant, "flush", spy)
         before = {n: run.accounts[n].drawn_snapshot() for n in (1, 2)}
-        run.queue.run_until(to_us(rs), run._handle)
+        run.queue.run_until(to_us(rs))
         monkeypatch.undo()
 
         sched_span = layout.schedule_slot + layout.gap
@@ -455,7 +455,7 @@ class TestCarefulRound:
         rec = run.records[-1]
         assert rec.round_index == k
         assert not any(n == 1 and new == "off"
-                       for _, n, _, new, _ in run.transitions)
+                       for _, n, _, new, _ in transitions(run))
         for n in (1, 2):
             stats = rec.nodes[n]
             assert stats.packets_attempted == 1
