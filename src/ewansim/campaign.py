@@ -57,9 +57,12 @@ def run_campaign(scenario, protocols: Sequence[str], n_runs: int,
     the last protocol of run i.
     """
     protocols = tuple(protocols)
+    if not protocols:
+        raise ValueError("no protocols given")
     for j, p in enumerate(protocols):
         if p not in PROTOCOLS:
-            raise ValueError(f"unknown protocol: {p}")
+            raise ValueError(f"unknown protocol {p!r}; choose from "
+                             f"{', '.join(PROTOCOLS)}")
         if p in protocols[:j]:
             raise ValueError(f"protocol {p} is given twice")
     if n_runs < 1:
@@ -119,22 +122,13 @@ def write_campaign_csvs(result: CampaignResult, out_dir: str) -> List[str]:
     """Write aggregate.csv and pernode.csv; returns the paths."""
     import os
     os.makedirs(out_dir, exist_ok=True)
-    agg_path = os.path.join(out_dir, "aggregate.csv")
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["protocol", "metric", "mean", "q1", "median", "q3",
-                         "n_samples"])
-        for row in aggregate_network(result):
-            writer.writerow([row["protocol"], row["metric"], repr(row["mean"]),
-                             repr(row["q1"]), repr(row["median"]),
-                             repr(row["q3"]), row["n_samples"]])
-    per_path = os.path.join(out_dir, "pernode.csv")
-    with open(per_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["protocol", "node", "metric", "mean", "q1", "median",
-                         "q3"])
-        for row in aggregate_per_node(result):
-            writer.writerow([row["protocol"], row["node"], row["metric"],
-                             repr(row["mean"]), repr(row["q1"]),
-                             repr(row["median"]), repr(row["q3"])])
-    return [agg_path, per_path]
+    paths = []
+    for name, rows in (("aggregate.csv", aggregate_network(result)),
+                       ("pernode.csv", aggregate_per_node(result))):
+        paths.append(os.path.join(out_dir, name))
+        # a row's keys are its columns, in order; str of a float is its repr
+        with open(paths[-1], "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    return paths

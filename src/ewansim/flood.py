@@ -60,7 +60,7 @@ class FloodResult:
     n_slots: int
     toa_s: float
     slot_s: float
-    # (span, toa) -> per-node radio time split, see radio_times
+    # span -> per-node radio time split, see radio_times
     _times: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -68,20 +68,18 @@ class FloodResult:
     def duration_s(self) -> float:
         return self.n_slots * self.slot_s
 
-    def radio_times(self, span: float,
-                    toa: float) -> dict[int, tuple[float, float, float]]:
+    def radio_times(self, span: float) -> dict[int, tuple[float, float, float]]:
         """node -> (listen s, transmit s, idle s) within a slot of ``span``
-        seconds carrying this flood of ``toa``-second packets; computed
-        once per (span, toa), so a memoized flood reuses it."""
-        key = (span, toa)
-        times = self._times.get(key)
+        seconds carrying this flood; computed once per span, so a memoized
+        flood reuses it."""
+        times = self._times.get(span)
         if times is None:
-            times = self._times[key] = {}
+            times = self._times[span] = {}
             split: dict[FloodNodeResult, tuple[float, float, float]] = {}
             for node, r in self.nodes.items():
                 t = split.get(r)
                 if t is None:
-                    tx_s = r.tx_count * toa
+                    tx_s = r.tx_count * self.toa_s
                     t = split[r] = (r.radio_on_s - tx_s, tx_s,
                                     span - r.radio_on_s)
                 times[node] = t

@@ -11,13 +11,7 @@ from .params import (
     default_vsn_configs,
 )
 from .state import NodeState, TransitionEvent, Vsn, node_transition
-from .host import (
-    Schedule,
-    ScheduleBook,
-    SyncResponse,
-    host_build_schedule,
-    host_handle_sync_request,
-)
+from .host import ScheduleBook
 from .records import NodeRoundStats, RoundRecord
 from .rounds import MhRoundLayout, ShRoundLayout
 from .run import PROTOCOLS, ProtocolRun, RunHooks, RunResult, simulate_run
@@ -37,11 +31,7 @@ __all__ = [
     "TransitionEvent",
     "Vsn",
     "node_transition",
-    "Schedule",
     "ScheduleBook",
-    "SyncResponse",
-    "host_build_schedule",
-    "host_handle_sync_request",
     "NodeRoundStats",
     "RoundRecord",
     "MhRoundLayout",

@@ -9,6 +9,11 @@ harvesting nodes, and drives one of four protocols over a fixed horizon:
                (LWB-like; 6 J storage, 5 J start threshold)
 - drb:         ewan without the single-hop VSN (6 J storage)
 
+Only ProtocolRun.__init__ reads the protocol name; the handlers read its
+flags has_mh, sh_enabled and listen_boot. The run acts for the host:
+_handle_sync answers sync requests, each round takes its slots from the
+VSN's ScheduleBook, and VSN membership is read from nstate.
+
 Every node's energy flows through a NodeAccount that integrates its
 harvest trace against the activity it is performing, so the per-node
 ledgers close exactly: e_in equals storage delta plus energy drawn plus
@@ -54,8 +59,7 @@ from ..radio import (
     resolve_concurrent,
     time_on_air,
 )
-from .host import (ScheduleBook, host_build_schedule,
-                   host_handle_sync_request)
+from .host import ScheduleBook
 from .params import (
     CONTENTION_BYTES,
     SYNC_BYTES,
@@ -171,7 +175,8 @@ class _FloodTransport:
 
     def gather(self) -> list[tuple[int, str]]:
         run, k, rs = self.run, self.k, self.rs
-        members = run._advance_to(sorted(run.members_mh), rs, run.load_sleep)
+        members = run._advance_to(run.members(Vsn.MULTI_HOP), rs,
+                                  run.load_sleep)
         boot = [n for n, tok in run.wait_mh.pop(k, [])
                 if run.sync_token.get(n) == tok
                 and run.nstate[n].vsn is Vsn.BOOTSTRAPPING]
@@ -186,9 +191,9 @@ class _FloodTransport:
         return [(n, role) for role, nodes in roles for n in nodes]
 
     @staticmethod
-    def _book(res: FloodResult, span: float, toa: float,
-              group: Sequence[int], costs: dict[int, list[float]]):
-        times = res.radio_times(span, toa)
+    def _book(res: FloodResult, span: float, group: Sequence[int],
+              costs: dict[int, list[float]]):
+        times = res.radio_times(span)
         for n in group:
             li, tx, idl = times[n]
             c = costs[n]
@@ -210,7 +215,7 @@ class _FloodTransport:
         # a passive listener that heard nothing listens on to the round end
         payers = [n for n, role in pairs if received[n] or role != "listen"]
         if res is not None:
-            self._book(res, lay.schedule_slot + lay.gap, lay.toa_schedule,
+            self._book(res, lay.schedule_slot + lay.gap,
                        [n for n in payers if n in flood_ids], acc.costs)
         for n in payers:
             if n not in flood_ids:
@@ -219,13 +224,12 @@ class _FloodTransport:
         return received
 
     def _slot(self, kind: str, initiators: Mapping[int, int], payload: int,
-              toa: float, alive: list[int], span: float,
-              acc: _RoundAccountant):
+              alive: list[int], span: float, acc: _RoundAccountant):
         """Flood one slot among the host and alive; the host's result."""
         run = self.run
         res = run._flood(kind, initiators, frozenset([run.HOST] + alive),
                          payload)
-        self._book(res, span, toa, alive, acc.costs)
+        self._book(res, span, alive, acc.costs)
         return res.nodes[run.HOST]
 
     def data(self, owner: int, alive: list[int], span: float,
@@ -237,20 +241,18 @@ class _FloodTransport:
                 <= run.mh_owner_tx_j):
             return None
         return self._slot("data", {owner: owner}, run.params.data_payload,
-                          self.layout.toa_data, alive, span, acc).received
+                          alive, span, acc).received
 
     def contend(self, contenders: list[int], alive: list[int], span: float,
                 acc: _RoundAccountant) -> Optional[int]:
         host = self._slot("cont", {c: c for c in contenders},
-                          CONTENTION_BYTES, self.layout.toa_contention,
-                          alive, span, acc)
+                          CONTENTION_BYTES, alive, span, acc)
         return host.packet_id if host.received else None
 
     def second_schedule(self, alive: list[int], span: float,
                         acc: _RoundAccountant):
         self._slot("sched", {self.run.HOST: self.run.HOST},
-                   self.run.params.schedule_payload_mh,
-                   self.layout.toa_schedule, alive, span, acc)
+                   self.run.params.schedule_payload_mh, alive, span, acc)
 
 
 class _HostTransport:
@@ -271,7 +273,8 @@ class _HostTransport:
 
     def gather(self) -> list[tuple[int, str]]:
         run, rs = self.run, self.rs
-        members = run._advance_to(sorted(run.members_sh), rs, run.load_sleep)
+        members = run._advance_to(run.members(Vsn.SINGLE_HOP), rs,
+                                  run.load_sleep)
         waiters: list[tuple[int, str]] = []
         for n, reason, tok in run.wait_sh.pop(self.k, []):
             st = run.nstate[n]
@@ -417,11 +420,15 @@ class ProtocolRun:
         self.horizon_s = horizon_s
         self.hooks = hooks or RunHooks()
 
+        # __init__ alone reads the protocol name; handlers read these flags
+        self.has_mh = protocol in ("ewan", "drb", "multi_hop")
+        self.sh_enabled = protocol in ("ewan", "single_hop")
+        self.listen_boot = protocol == "multi_hop"  # bootstrap by listening
         storage_b = scenario.storage_capacity_j
         eparams = scenario.energy_params
         if protocol in ("drb", "multi_hop"):
             storage_b = _BIG_STORAGE_J
-        if protocol == "multi_hop":
+        if self.listen_boot:
             eparams = replace(eparams, start_threshold=_MHB_START_THRESHOLD_J)
         self.eparams = eparams
         self.initial_charge_j = initial_charge_j
@@ -435,9 +442,6 @@ class ProtocolRun:
             self.accounts[n] = NodeAccount(
                 n, EnergyStorage(initial_charge_j, capacity_b=storage_b),
                 eparams, traces[n])
-
-        self.sh_enabled = protocol in ("ewan", "single_hop")
-        self.has_mh = protocol in ("ewan", "drb", "multi_hop")
 
         vsn_configs = scenario.vsn_configs
         self.cfg_boot = vsn_configs.bootstrap
@@ -483,8 +487,6 @@ class ProtocolRun:
 
         # protocol state
         self.nstate: dict[int, NodeState] = {n: NodeState() for n in self.nodes}
-        self.members_mh: set[int] = set()
-        self.members_sh: set[int] = set()
         self.mhb_listeners: set[int] = set()
         self.wait_mh: dict[int, list[tuple[int, int]]] = defaultdict(list)
         self.wait_sh: dict[int, list[tuple[int, str, int]]] = defaultdict(list)
@@ -538,13 +540,10 @@ class ProtocolRun:
         if old.vsn is not new.vsn:
             self._event(t, "transition", node, old.vsn.value,
                         new.vsn.value, event.value)
-            self.members_mh.discard(node)
-            self.members_sh.discard(node)
-            if new.vsn is Vsn.MULTI_HOP:
-                self.members_mh.add(node)
-            elif new.vsn is Vsn.SINGLE_HOP:
-                self.members_sh.add(node)
         return new
+
+    def members(self, vsn: Vsn) -> list[int]:  # ascending
+        return [n for n in self.nodes if self.nstate[n].vsn is vsn]
 
     # ------------------------------------------------------------------
     # power lifecycle
@@ -630,7 +629,7 @@ class ProtocolRun:
         self._rearm_scan(node)
 
     def _enter_bootstrap(self, node: int, t: float):
-        if self.protocol == "multi_hop":
+        if self.listen_boot:
             self.mhb_listeners.add(node)
         else:
             self._schedule_sync(node, t)
@@ -712,11 +711,10 @@ class ProtocolRun:
             self._backoff, 0.0, self.params.backoff_window))
 
     def _register_synced(self, node: int, t: float):
-        if self.protocol in ("ewan", "drb"):
+        if self.has_mh:  # ewan or drb: multi_hop never syncs
             k1, t1 = self.params.next_mh_round_after(t)
-            resp = host_handle_sync_request(t, t1, self.params)
             self.wait_mh[k1].append((node, self.sync_token[node]))
-            self._event(t, "sync_ok", node, "mh", k1, resp.tau1)
+            self._event(t, "sync_ok", node, "mh", k1, t1 - t)
         else:  # single-hop baseline: response carries the next round time
             k1, _ = self.params.next_sh_round_after(t)
             self.wait_sh[k1].append((node, "bootstrap", self.sync_token[node]))
@@ -790,11 +788,13 @@ class ProtocolRun:
         layout = tp.layout
         rs = tp.rs
         pairs = tp.gather()
-        sched = host_build_schedule(tp.book, self.params, tp.vsn, k)
-        n_slots = len(sched.assignments)
+        assignments = tp.book.prune_and_fill()
+        n_slots = len(assignments)
         re = rs + layout.round_duration(n_slots)
         self.host_busy_until = max(self.host_busy_until, re)
-        sample = sched.sample_multihop and self.protocol == "ewan"
+        # ewan's every m-th single-hop schedule orders multi-hop sampling
+        sample = (tp.vsn == "single_hop" and self.has_mh
+                  and k % self.params.m == 0)
 
         record = RoundRecord(vsn=tp.vsn, round_index=k, round_start_s=rs)
         self.records.append(record)
@@ -829,7 +829,7 @@ class ProtocolRun:
             if role == "sample":
                 self._transition(n, TransitionEvent.SAMPLED_MH_FAILURE, rs)
             elif role == "bootstrap" and tp.vsn == "multi_hop":
-                if self.protocol == "ewan":
+                if self.sh_enabled:
                     # hand over to this period's single-hop round
                     self.wait_sh[k].append(
                         (n, "bootstrap", self.sync_token[n]))
@@ -859,9 +859,9 @@ class ProtocolRun:
         attempted: set[int] = set()
         t = rs + (layout.schedule_slot + layout.gap)
         acc.settle(alive, t)
-        for what, span in layout.slot_plan(sched.assignments):
+        for what, span in layout.slot_plan(assignments):
             if what == "contention":
-                live = [n for n in alive if sched.slot_of(n) is None]
+                live = [n for n in alive if n not in assignments]
                 used = bool(live)
                 if used:
                     w = tp.contend(live, alive, span, acc)

@@ -147,6 +147,16 @@ class TestCampaignCommand:
         assert code == 1
         assert "zigbee" in capsys.readouterr().err
 
+    def test_empty_protocol_list_is_an_error_line(self, tmp_path, capsys):
+        save_scenario(flat_scenario(1), str(tmp_path / "sc"))
+        out = tmp_path / "camp"
+        code = main(["campaign", "--scenario-template", str(tmp_path / "sc"),
+                     "--protocols", " , ", "--runs", "1",
+                     "--seed", "9", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no protocols given\n"
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_clean_scenario_passes(self, tmp_path, capsys):

@@ -217,8 +217,8 @@ class TestSingleInitiator:
         res = simulate_flood(0, 20, set(range(6)), links, CFG, 4, 2,
                              stream(5))
         span = res.duration_s + 0.01
-        times = res.radio_times(span, res.toa_s)
-        assert res.radio_times(span, res.toa_s) is times
+        times = res.radio_times(span)
+        assert res.radio_times(span) is times
         assert set(times) == set(res.nodes)
         for node, (listen, tx, idle) in times.items():
             r = res.nodes[node]

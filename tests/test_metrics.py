@@ -288,6 +288,16 @@ class TestCampaign:
         with pytest.raises(ValueError, match="at least one run"):
             run_campaign(sc, ("ewan",), n_runs=0, master_seed=9)
 
+    def test_empty_protocol_list_is_rejected(self):
+        with pytest.raises(ValueError, match="no protocols given"):
+            run_campaign(flat_scenario(1), (), n_runs=1, master_seed=9)
+
+    def test_unknown_protocol_message_names_the_choices(self):
+        with pytest.raises(ValueError, match="'lorawan'; choose from ewan, "
+                                             "single_hop, multi_hop, drb"):
+            run_campaign(flat_scenario(1), ("lorawan",), n_runs=1,
+                         master_seed=9)
+
     def test_duplicate_protocol_is_rejected(self):
         with pytest.raises(ValueError, match="ewan is given twice"):
             run_campaign(flat_scenario(1), ("ewan", "ewan"), n_runs=1,

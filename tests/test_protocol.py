@@ -8,13 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewansim.protocol.host import (
-    Schedule,
-    ScheduleBook,
-    SyncResponse,
-    host_build_schedule,
-    host_handle_sync_request,
-)
+from ewansim.protocol.host import ScheduleBook
 from ewansim.energy import consume
 from ewansim.engine import RandomStreams, to_us
 from ewansim.protocol.params import ProtocolParams
@@ -37,42 +31,53 @@ E = TransitionEvent
 POWERED = (Vsn.BOOTSTRAPPING, Vsn.MULTI_HOP, Vsn.SINGLE_HOP)
 
 
+def _synced_at(t: float) -> ProtocolRun:
+    """An ewan run whose node 1 has just completed its sync at t."""
+    sc = flat_scenario(1)
+    run = ProtocolRun(sc, "ewan", RandomStreams(11, 0), sc.traces)
+    run._register_synced(1, t)
+    return run
+
+
 class TestSyncHandshake:
+    """The host's answer to a sync request: the next multi-hop round k1,
+    recorded as the sync_ok event's (k1, tau1 = seconds until it)."""
+
     def test_mid_period_request(self):
-        # T=300, dT=5: a request heard at 150 points at 300 and 305
-        resp = host_handle_sync_request(150.0, 300.0, PARAMS)
-        assert resp.tau1 == pytest.approx(150.0)
-        assert resp.tau2 == pytest.approx(155.0)
+        # T=300: a request answered at 150 points at the round at 300
+        (ev,) = _synced_at(150.0).events
+        assert (ev.kind, ev.node, ev.data[:2]) == ("sync_ok", 1, ("mh", 1))
+        assert ev.data[2] == pytest.approx(150.0)
 
     def test_request_just_after_round(self):
-        resp = host_handle_sync_request(2.0, 300.0, PARAMS)
-        assert resp.tau1 == pytest.approx(298.0)
-        assert resp.tau2 == pytest.approx(303.0)
+        (ev,) = _synced_at(2.0).events
+        assert ev.data[:2] == ("mh", 1)
+        assert ev.data[2] == pytest.approx(298.0)
 
-    def test_tau2_never_points_at_an_earlier_sh_round(self):
-        # at t=302 the k=1 single-hop round (305) is imminent, but tau2
-        # must reference the one following the next multi-hop round
-        resp = host_handle_sync_request(302.0, 600.0, PARAMS)
-        assert resp.tau1 == pytest.approx(298.0)
-        assert resp.tau2 == pytest.approx(303.0)
+    def test_sync_never_points_at_an_earlier_sh_round(self):
+        # at t=302 the k=1 single-hop round (305) is imminent, but the node
+        # waits for the next multi-hop round; it reaches single-hop only
+        # through that round's hand-off (wait_sh of the same period)
+        run = _synced_at(302.0)
+        (ev,) = run.events
+        assert ev.data[:2] == ("mh", 2)
+        assert ev.data[2] == pytest.approx(298.0)
+        assert [n for n, _ in run.wait_mh[2]] == [1]
+        assert not any(run.wait_sh.values())
 
     def test_round_must_be_in_the_future(self):
-        with pytest.raises(ValueError):
-            host_handle_sync_request(300.0, 300.0, PARAMS)
-
-    def test_response_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            SyncResponse(tau1=5.0, tau2=5.0)
-        with pytest.raises(ValueError):
-            SyncResponse(tau1=0.0, tau2=5.0)
+        # a sync that ends exactly at a round start waits for the next one
+        (ev,) = _synced_at(300.0).events
+        assert ev.data[:2] == ("mh", 2)
+        assert ev.data[2] == pytest.approx(300.0)
 
     @given(now=st.floats(min_value=0, max_value=1e6))
     @settings(max_examples=200, deadline=None)
     def test_response_lands_on_round_boundaries(self, now):
         k, start = PARAMS.next_mh_round_after(now)
-        resp = host_handle_sync_request(now, start, PARAMS)
-        assert now + resp.tau1 == pytest.approx(PARAMS.mh_round_start(k))
-        assert now + resp.tau2 == pytest.approx(PARAMS.sh_round_start(k))
+        (ev,) = _synced_at(now).events
+        assert ev.data[1] == k
+        assert now + ev.data[2] == pytest.approx(PARAMS.mh_round_start(k))
 
 
 class TestRoundTiming:
@@ -248,25 +253,27 @@ class TestScheduleBook:
         assert book.prune_and_fill() == (1,)
         assert book.waiting == ()
 
-    def test_sample_flag_every_m_single_hop_rounds(self):
-        book = ScheduleBook(max_slots=15, p=2)
-        flags = [
-            host_build_schedule(book, PARAMS, "single_hop", k).sample_multihop
-            for k in range(4)
-        ]
-        assert flags == [True, False, True, False]
-        mh = host_build_schedule(book, PARAMS, "multi_hop", 0)
-        assert mh.sample_multihop is False
-
-    def test_schedule_rejects_duplicate_slots(self):
-        with pytest.raises(ValueError):
-            Schedule(assignments=(1, 1))
-
-    def test_slot_lookup(self):
-        sched = Schedule(assignments=(4, 2))
-        assert sched.slot_of(4) == 0
-        assert sched.slot_of(2) == 1
-        assert sched.slot_of(9) is None
+    @given(
+        ops=st.lists(st.one_of(
+            st.integers(min_value=1, max_value=6),
+            st.frozensets(st.integers(min_value=1, max_value=6)).map(
+                lambda got: ("observe", got))), max_size=40),
+        max_slots=st.integers(min_value=1, max_value=4),
+        p=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_node_never_holds_two_slots(self, ops, max_slots, p):
+        # ints are demands; every observed round is followed by a fill
+        book = ScheduleBook(max_slots=max_slots, p=p)
+        for op in ops:
+            if isinstance(op, int):
+                book.enqueue_demand(op)
+                continue
+            book.observe_round(op[1])
+            slots = book.prune_and_fill()
+            assert len(set(slots)) == len(slots) <= max_slots
+            assert not set(slots) & set(book.waiting)
+            assert len(set(book.waiting)) == len(book.waiting)
 
 
 class TestSingleMemberRuns:
@@ -326,6 +333,57 @@ class TestSeveredLinkFallback:
         assert sum(r.delivered_total for r in late) == 0
 
 
+class TestProtocolPolicy:
+    # node 1 is severed from multi-hop rounds 2-3 after it joined, node 2
+    # from its first multi-hop round; two hours let the multi_hop
+    # baseline charge to its 5 J start threshold
+    HOOKS = RunHooks(blocked_multi_hop={1: [(2, 4)], 2: [(0, 2)]})
+    # protocol -> (VSNs with rounds, kinds of sync_ok, storage J or None
+    # for the scenario's, start threshold J or None for the scenario's)
+    POLICY = {
+        "ewan": ({"multi_hop", "single_hop"}, {"mh"}, None, None),
+        "single_hop": ({"single_hop"}, {"sh"}, None, None),
+        "multi_hop": ({"multi_hop"}, set(), 6.0, 5.0),
+        "drb": ({"multi_hop"}, {"mh"}, 6.0, None),
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(POLICY))
+    def test_protocol_policy(self, protocol):
+        vsns, sync_kinds, storage_j, threshold_j = self.POLICY[protocol]
+        sc = flat_scenario(2, horizon_s=7200.0)
+        run = ProtocolRun(sc, protocol, RandomStreams(11, 0), sc.traces,
+                          self.HOOKS)
+        assert {run.accounts[n].storage.capacity_b for n in (1, 2)} == {
+            storage_j or sc.storage_capacity_j}
+        assert run.eparams.start_threshold == (
+            threshold_j or sc.energy_params.start_threshold)
+        res = run.run()
+
+        assert {r.vsn for r in res.records} == vsns
+        syncs = [ev for ev in res.events if ev.kind == "sync_ok"]
+        assert {ev.data[0] for ev in syncs} == sync_kinds
+        for ev in syncs:
+            if ev.data[0] == "mh":
+                k, start = PARAMS.next_mh_round_after(ev.t)
+                assert ev.data[1] == k
+                assert ev.t + ev.data[2] == pytest.approx(start)
+        joins = [ev.data for ev in res.events if ev.kind == "join"]
+        vias = {via for _, via, _ in joins}
+        assert ("listen" in vias) == (protocol == "multi_hop")
+        assert ("sample" in vias) == (protocol == "ewan")
+        for tag, via, k in joins:
+            if via == "sample":
+                # sampling ordered by single-hop round k - 1
+                assert tag == "mh" and (k - 1) % PARAMS.m == 0
+        # node 2 misses its multi-hop bootstrap round: ewan hands it to
+        # that period's single-hop round, drb makes it sync again
+        if protocol == "ewan":
+            assert (2, ("sh", "bootstrap", 1)) in [
+                (ev.node, ev.data) for ev in res.events if ev.kind == "join"]
+        if protocol == "drb":
+            assert sum(ev.node == 2 for ev in syncs) == 2
+
+
 class TestContendingSyncRequests:
     def test_equal_power_contenders_both_join_eventually(self):
         # both nodes power on together; the collided sync requests are
@@ -348,7 +406,7 @@ def _two_members_before_mh_round(k: int) -> ProtocolRun:
     """Two members without harvest, run up to just before multi-hop round
     k; node 2 owns the first data slot and node 1 the second."""
     run = _two_node_run_before("ewan", PARAMS.mh_round_start(k))
-    assert run.members_mh == {1, 2}
+    assert all(run.nstate[n].vsn is Vsn.MULTI_HOP for n in (1, 2))
     assert run.book_mh.assigned == (2, 1)
     return run
 
@@ -376,7 +434,7 @@ class TestCarefulRound:
         acct.advance(rs, run.load_sleep)
         first = run._flood("sched", {0: 0}, frozenset({0, 1, 2}),
                            PARAMS.schedule_payload_mh)
-        li, tx, idl = first.radio_times(sched_span, layout.toa_schedule)[1]
+        li, tx, idl = first.radio_times(sched_span)[1]
         eff = run.eparams.buck_efficiency
         target = 1.5 * (li * run.load_mh.listen[0] + tx * run.load_mh.tx[0]
                         + idl * run.eparams.p_idle) / eff
@@ -484,7 +542,7 @@ class TestCarefulRound:
         k = 4
         rs = PARAMS.sh_round_start(k)
         run = _two_node_run_before("single_hop", rs)
-        assert run.members_sh == {1, 2}
+        assert all(run.nstate[n].vsn is Vsn.SINGLE_HOP for n in (1, 2))
         assert run.book_sh.assigned == (1, 2)
         before = self._run_round_with_fragile_node_1(
             run, monkeypatch, rs, run.sh_fragile_j, run.sh_layout)
