@@ -2,7 +2,7 @@
 low-power wide-area networks built around virtual sub-networks."""
 
 from .campaign import CampaignResult, run_campaign
-from .metrics import NodeMetrics, compute_all_metrics, compute_node_metrics
+from .metrics import NodeMetrics, compute_all_metrics
 from .protocol.run import PROTOCOLS, RunHooks, RunResult, simulate_run
 from .scenario import (Scenario, ScenarioError, TraceGenParams, build_scenario,
                        case_study_scenario, generate_topology, generate_traces,
@@ -21,7 +21,6 @@ __all__ = [
     "build_scenario",
     "case_study_scenario",
     "compute_all_metrics",
-    "compute_node_metrics",
     "generate_topology",
     "generate_traces",
     "load_scenario",

@@ -73,9 +73,10 @@ def run_campaign(scenario, protocols: Sequence[str], n_runs: int,
         traces = scenario.traces_for_run(
             RandomStreams(master_seed, i).stream("traces"))
         for protocol in protocols:
-            result = simulate_run(scenario, protocol, master_seed,
-                                  run_index=i, traces=traces)
-            out.runs[(protocol, i)] = compute_all_metrics(result)
+            # no name holds the RunResult, so it is freed once its metrics
+            # are read, before the next protocol's run builds its own
+            out.runs[(protocol, i)] = compute_all_metrics(simulate_run(
+                scenario, protocol, master_seed, run_index=i, traces=traces))
         if on_run_done is not None:
             on_run_done(i, n_runs)
     return out

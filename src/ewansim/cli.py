@@ -127,6 +127,13 @@ def _cmd_verify(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    # seeds and run indices key numpy's SeedSequence, which takes no sign
+    for option in ("seed", "run_index"):
+        value = getattr(args, option, 0)
+        if value < 0:
+            print(f"error: --{option.replace('_', '-')} must be a "
+                  f"non-negative integer, not {value}", file=sys.stderr)
+            return 1
     try:
         if args.command == "scenario":
             return _cmd_scenario_gen(args)

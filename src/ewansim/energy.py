@@ -206,8 +206,9 @@ class NodeAccount:
         self.ledger = EnergyLedger()
         self.clock_s = 0.0
         self._res = trace.resolution_s
-        # plain list: scalar indexing in the integrate loop is pure python
-        self._samples = trace.samples.tolist()
+        # a view of the trace's own doubles: indexing yields a float and
+        # the run keeps no per-node copy of the samples
+        self._samples = memoryview(trace.samples)
         self._n = len(self._samples)
         self._ceff = params.charge_efficiency
         self._eff = params.buck_efficiency
@@ -296,6 +297,42 @@ class NodeAccount:
         self.storage.e_cap = e
         self.clock_s = t1
         return t1 if died else None
+
+    def scan_start(self, threshold: float, step: float, horizon: float,
+                   p_load: float, category: str) -> Optional[float]:
+        """Off-state charging: sample the storage every step seconds from
+        the clock until it strictly exceeds threshold, drawing p_load.
+
+        Returns the crossing sample time, or None if the horizon arrives
+        first (the clock is then at the horizon). While the storage is
+        empty and no power arrives within a step, the clock jumps to the
+        last sample instant before power returns and books nothing.
+        """
+        t0 = self.clock_s
+        if self.storage.e_cap > threshold:
+            return t0
+        i = 0
+        t = t0
+        while True:
+            if self.storage.e_cap == 0.0:
+                # nothing can change until the trace delivers power again
+                t_power = self.next_power_time(t)
+                if t_power > t + step:
+                    if t_power >= horizon:
+                        self.clock_s = horizon
+                        return None
+                    i = int((t_power - t0) // step)
+                    t = t0 + i * step
+                    self.clock_s = t
+            i += 1
+            nxt = t0 + i * step
+            if nxt > horizon:
+                self.integrate(horizon, p_load, category, False)
+                return None
+            self.integrate(nxt, p_load, category, False)
+            t = nxt
+            if self.storage.e_cap > threshold:
+                return t
 
     def advance(self, t1: float, load: tuple[float, str]) -> Optional[float]:
         """Perform one continuous activity, given as (load power, ledger

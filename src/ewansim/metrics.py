@@ -81,42 +81,39 @@ def _total(intervals: Sequence[Tuple[float, float]]) -> float:
     return sum(b - a for a, b in intervals)
 
 
-def compute_node_metrics(result: RunResult, node: int) -> NodeMetrics:
-    """Derive one node's metrics from the run's records and ledgers.
+def compute_all_metrics(result: RunResult) -> Dict[int, NodeMetrics]:
+    """Derive every node's metrics from the run's records and ledgers.
 
-    Each round the node received the first schedule of spans one full
-    period from its start; spans are unioned (so a same-cycle fallback
-    from one sub-network to the other is not counted twice) and clipped
-    to the node's powered intervals, which end at energy depletion.
+    Each round a node received the first schedule of spans one full
+    period from its start; a node's spans are unioned (so a same-cycle
+    fallback from one sub-network to the other is not counted twice) and
+    clipped to its powered intervals, which end at energy depletion. One
+    pass over the records groups the spans and packets by node.
     """
     t_sim = result.horizon_s
     period = result.params.period_t
-    active = _merge((a, min(b, t_sim)) for a, b in
-                    result.active_intervals.get(node, ()))
-    spans = []
-    packets = 0
+    nodes = range(1, result.n_nodes + 1)
+    spans: Dict[int, List[Tuple[float, float]]] = {n: [] for n in nodes}
+    packets = dict.fromkeys(nodes, 0)
     for rec in result.records:
-        st = rec.nodes.get(node)
-        if st is None:
-            continue
-        packets += st.packets_delivered
-        if st.received_first_schedule:
-            spans.append((rec.round_start_s,
-                          min(rec.round_start_s + period, t_sim)))
-    t_com = _total(_intersect(_merge(spans), active))
-    return NodeMetrics(
-        node=node,
-        e_in_j=result.ledgers[node]["e_in"],
-        packets=packets,
-        t_active_s=_total(active),
-        t_com_s=t_com,
-        t_sim_s=t_sim,
-    )
-
-
-def compute_all_metrics(result: RunResult) -> Dict[int, NodeMetrics]:
-    return {n: compute_node_metrics(result, n)
-            for n in range(1, result.n_nodes + 1)}
+        span = (rec.round_start_s, min(rec.round_start_s + period, t_sim))
+        for n, st in rec.nodes.items():
+            packets[n] += st.packets_delivered
+            if st.received_first_schedule:
+                spans[n].append(span)
+    out = {}
+    for n in nodes:
+        active = _merge((a, min(b, t_sim)) for a, b in
+                        result.active_intervals.get(n, ()))
+        out[n] = NodeMetrics(
+            node=n,
+            e_in_j=result.ledgers[n]["e_in"],
+            packets=packets[n],
+            t_active_s=_total(active),
+            t_com_s=_total(_intersect(_merge(spans[n]), active)),
+            t_sim_s=t_sim,
+        )
+    return out
 
 
 def write_metrics_csv(path: str, metrics: Dict[int, NodeMetrics]):
@@ -142,12 +139,11 @@ def write_rounds_csv(path: str, result: RunResult):
         for rec in result.records:
             for node in sorted(rec.nodes):
                 st = rec.nodes[node]
-                e = st.energy_by_category
                 writer.writerow([
                     rec.vsn, rec.round_index, repr(rec.round_start_s), node,
                     int(st.received_first_schedule), st.packets_delivered,
-                    st.packets_attempted, repr(e.get("tx", 0.0)),
-                    repr(e.get("listen", 0.0)), repr(e.get("idle", 0.0)),
+                    st.packets_attempted, repr(st.energy_tx_j),
+                    repr(st.energy_listen_j), repr(st.energy_idle_j),
                 ])
 
 

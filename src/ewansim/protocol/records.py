@@ -16,19 +16,20 @@ class RunEvent(NamedTuple):
     data: tuple
 
 
-@dataclass
-class NodeRoundStats:
-    received_first_schedule: bool = False
-    packets_delivered: int = 0
-    packets_attempted: int = 0
-    energy_by_category: dict[str, float] = field(default_factory=dict)
+class NodeRoundStats(NamedTuple):
+    """One participant's round: whether it received the first schedule,
+    its data packet (1 or 0) delivered and attempted, and the joules its
+    ledger drew for tx, listen and idle during the round."""
 
-    def __post_init__(self):
-        if self.packets_delivered > self.packets_attempted:
-            raise ValueError("cannot deliver more packets than attempted")
+    received_first_schedule: bool
+    packets_delivered: int
+    packets_attempted: int
+    energy_tx_j: float
+    energy_listen_j: float
+    energy_idle_j: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     vsn: str
     round_index: int

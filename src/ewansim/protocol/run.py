@@ -138,6 +138,8 @@ class _RoundAccountant:
     def close(self, received: Mapping[int, bool], delivered: set[int],
               attempted: set[int], n_slots: int):
         """Feed the deliveries to the book and record every participant."""
+        if not delivered <= attempted:
+            raise ValueError("cannot deliver more packets than attempted")
         self.tp.book.observe_round(delivered)
         accounts = self.run.accounts
         record = self.record
@@ -145,13 +147,9 @@ class _RoundAccountant:
             b = self.snapshots[n]
             a = accounts[n].drawn_snapshot()
             record.nodes[n] = NodeRoundStats(
-                received_first_schedule=received[n],
-                packets_delivered=1 if n in delivered else 0,
-                packets_attempted=1 if n in attempted else 0,
-                energy_by_category={
-                    "tx": a[0] - b[0], "listen": a[1] - b[1],
-                    "idle": a[2] - b[2]},
-            )
+                received[n], 1 if n in delivered else 0,
+                1 if n in attempted else 0,
+                a[0] - b[0], a[1] - b[1], a[2] - b[2])
         self.run._event(record.round_start_s, "round", self.run.HOST,
                         self.tp.tag, record.round_index, n_slots,
                         len(self.present), len(delivered))
@@ -548,42 +546,6 @@ class ProtocolRun:
     # ------------------------------------------------------------------
     # power lifecycle
 
-    def _scan_start(self, node: int) -> Optional[float]:
-        """Off-state charging: sample storage on the monitor interval from
-        the account clock until it strictly exceeds the start threshold.
-        Returns the crossing sample time, or None if the horizon arrives
-        first (the account is then advanced to the horizon)."""
-        acct = self.accounts[node]
-        thr = self.eparams.start_threshold
-        step = self.eparams.sample_interval
-        p_boot = self.eparams.p_boot
-        horizon = self.horizon_s
-        t0 = acct.clock_s
-        if acct.storage.e_cap > thr:
-            return t0
-        i = 0
-        t = t0
-        while True:
-            if acct.storage.e_cap == 0.0:
-                # nothing can change until the trace delivers power again
-                t_power = acct.next_power_time(t)
-                if t_power > t + step:
-                    if t_power >= horizon:
-                        acct.clock_s = horizon
-                        return None
-                    i = int((t_power - t0) // step)
-                    t = t0 + i * step
-                    acct.clock_s = t
-            i += 1
-            nxt = t0 + i * step
-            if nxt > horizon:
-                acct.integrate(horizon, p_boot, "boot", die=False)
-                return None
-            acct.integrate(nxt, p_boot, "boot", die=False)
-            t = nxt
-            if acct.storage.e_cap > thr:
-                return t
-
     def _power_on(self, node: int, t: float):
         if self.nstate[node].vsn is not Vsn.OFF:
             return
@@ -605,7 +567,12 @@ class ProtocolRun:
         self._enter_bootstrap(node, t)
 
     def _rearm_scan(self, node: int):
-        g = self._scan_start(node)
+        """Charge the off node until its storage crosses the start
+        threshold at a monitor sample, then power it on there."""
+        ep = self.eparams
+        g = self.accounts[node].scan_start(ep.start_threshold,
+                                           ep.sample_interval, self.horizon_s,
+                                           ep.p_boot, "boot")
         if g is None:
             return
         now_s = to_s(self.queue.now_us)

@@ -113,7 +113,7 @@ def test_criterion_01_severed_node_transmits_single_hop_605_s_later():
             "received_sh_schedule") in transitions(res)
     rec = next(r for r in sh_records(res) if r.round_index == k_join)
     assert rec.round_start_s == t_join
-    assert rec.nodes[1].energy_by_category["tx"] > 0.0
+    assert rec.nodes[1].energy_tx_j > 0.0
     # never on the single-hop channel before the fallback round
     assert all(1 not in r.nodes for r in sh_records(res)
                if r.round_index < k_join)

@@ -158,6 +158,29 @@ class TestCampaignCommand:
         assert not out.exists()
 
 
+class TestNegativeSeedOptions:
+    @pytest.mark.parametrize("command, option", (
+        ("gen", "--seed"), ("run", "--seed"), ("run", "--run-index"),
+        ("campaign", "--seed")))
+    def test_negative_value_is_an_error_line_naming_the_option(
+            self, tmp_path, capsys, command, option):
+        sc = str(tmp_path / "sc")
+        save_scenario(flat_scenario(1), sc)
+        out = tmp_path / "out"
+        argv = {
+            "gen": ["scenario", "gen", "--kind", "mh", "--seed", "7"],
+            "run": ["run", "--scenario", sc, "--protocol", "ewan",
+                    "--seed", "7", "--run-index", "0"],
+            "campaign": ["campaign", "--scenario-template", sc,
+                         "--protocols", "ewan", "--runs", "1", "--seed", "7"],
+        }[command] + ["--out", str(out)]
+        argv[argv.index(option) + 1] = "-1"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {option} must be a non-negative integer, not -1\n")
+        assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_clean_scenario_passes(self, tmp_path, capsys):
         gen(tmp_path, "mh", "--kind", "mh")

@@ -17,7 +17,6 @@ from ewansim.metrics import (
     EVENT_FORMATS,
     NodeMetrics,
     compute_all_metrics,
-    compute_node_metrics,
     event_line,
     write_events_log,
     write_metrics_csv,
@@ -61,7 +60,8 @@ def round_rec(vsn, k, start, node, received, delivered):
     return RoundRecord(vsn=vsn, round_index=k, round_start_s=start, nodes={
         node: NodeRoundStats(received_first_schedule=received,
                              packets_delivered=delivered,
-                             packets_attempted=delivered),
+                             packets_attempted=delivered, energy_tx_j=0.0,
+                             energy_listen_j=0.0, energy_idle_j=0.0),
     })
 
 
@@ -87,7 +87,7 @@ class TestMetricDefinitions:
         res = synthetic_result(
             [round_rec("multi_hop", 3, 900.0, 1, True, 1)],
             {1: [(0.0, 2000.0)]})
-        m = compute_node_metrics(res, 1)
+        m = compute_all_metrics(res)[1]
         assert m.t_com_s == pytest.approx(300.0)
         assert m.t_active_s == pytest.approx(2000.0)
         assert m.packets == 1
@@ -99,14 +99,14 @@ class TestMetricDefinitions:
             [round_rec("multi_hop", 3, 900.0, 1, True, 0),
              round_rec("single_hop", 3, 905.0, 1, True, 1)],
             {1: [(0.0, 2000.0)]})
-        m = compute_node_metrics(res, 1)
+        m = compute_all_metrics(res)[1]
         assert m.t_com_s == pytest.approx(305.0)
 
     def test_round_span_clipped_at_energy_death(self):
         res = synthetic_result(
             [round_rec("multi_hop", 3, 900.0, 1, True, 1)],
             {1: [(0.0, 1000.0)]})
-        m = compute_node_metrics(res, 1)
+        m = compute_all_metrics(res)[1]
         assert m.t_com_s == pytest.approx(100.0)
         assert m.t_active_s == pytest.approx(1000.0)
 
@@ -114,14 +114,14 @@ class TestMetricDefinitions:
         res = synthetic_result(
             [round_rec("multi_hop", 6, 1800.0, 1, True, 1)],
             {1: [(0.0, 2000.0)]})
-        m = compute_node_metrics(res, 1)
+        m = compute_all_metrics(res)[1]
         assert m.t_com_s == pytest.approx(200.0)
 
     def test_unreceived_rounds_contribute_packets_only(self):
         res = synthetic_result(
             [round_rec("multi_hop", 3, 900.0, 1, False, 0)],
             {1: [(0.0, 2000.0)]})
-        m = compute_node_metrics(res, 1)
+        m = compute_all_metrics(res)[1]
         assert m.t_com_s == 0.0
 
 
@@ -130,8 +130,9 @@ class TestMetricsAgainstIntervalOracle:
         sc = flat_scenario(2, horizon_s=2400.0)
         res = simulate_run(sc, "ewan", master_seed=11)
         period = sc.params.period_t
+        metrics = compute_all_metrics(res)
         for node in (1, 2):
-            m = compute_node_metrics(res, node)
+            m = metrics[node]
             active = [(a, min(b, sc.horizon_s))
                       for a, b in res.active_intervals[node]]
             spans = [
@@ -182,6 +183,25 @@ class TestCsvWriters:
         assert rows[0] == ROUNDS_HEADER
         assert len(rows) == 1 + sum(len(r.nodes) for r in res.records)
         assert {row[0] for row in rows[1:]} <= {"multi_hop", "single_hop"}
+
+    def test_rounds_csv_rows_from_hand_made_records(self, tmp_path):
+        # nodes sorted, columns in header order, floats as their repr
+        rec = RoundRecord(vsn="single_hop", round_index=7,
+                          round_start_s=2105.25, nodes={
+            3: NodeRoundStats(True, 1, 1, 0.1 + 0.2, 1e-3 / 3, 2.5e-7),
+            1: NodeRoundStats(False, 0, 0, 0.0, 0.0, 0.0),
+        })
+        path = tmp_path / "rounds.csv"
+        write_rounds_csv(str(path), synthetic_result([rec], {}, n_nodes=3))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ROUNDS_HEADER,
+            ["single_hop", "7", "2105.25", "1", "0", "0", "0", "0.0", "0.0",
+             "0.0"],
+            ["single_hop", "7", "2105.25", "3", "1", "1", "1",
+             "0.30000000000000004", "0.0003333333333333333", "2.5e-07"],
+        ]
 
     def test_events_log_is_time_sorted(self, tmp_path):
         sc = flat_scenario(2)

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ewansim.campaign as campaign
 from ewansim.protocol.host import ScheduleBook
 from ewansim.energy import consume
 from ewansim.engine import RandomStreams, to_us
 from ewansim.protocol.params import ProtocolParams
-from ewansim.protocol.run import (ProtocolRun, RunHooks, _RoundAccountant,
-                                  simulate_run)
+from ewansim.protocol.records import NodeRoundStats, RoundRecord
+from ewansim.protocol.run import (ProtocolRun, RunHooks, _FloodTransport,
+                                  _RoundAccountant, simulate_run)
 from ewansim.protocol.state import (
     NodeState,
     TransitionError,
@@ -463,9 +465,10 @@ class TestCarefulRound:
         assert stats.packets_attempted == 0
         after_death = [inside for vsn, inside in floods if vsn is Vsn.OFF]
         assert after_death and not any(after_death)
-        assert stats.energy_by_category == {
-            "tx": after[0] - before[0], "listen": after[1] - before[1],
-            "idle": after[2] - before[2]}
+        assert (stats.energy_tx_j, stats.energy_listen_j,
+                stats.energy_idle_j) == (after[0] - before[0],
+                                         after[1] - before[1],
+                                         after[2] - before[2])
 
         res = run.run()
         for n, err in res.conservation_j.items():
@@ -518,9 +521,9 @@ class TestCarefulRound:
             stats = rec.nodes[n]
             assert stats.packets_attempted == 1
             a, b = run.accounts[n].drawn_snapshot(), before[n]
-            assert stats.energy_by_category == {
-                "tx": a[0] - b[0], "listen": a[1] - b[1],
-                "idle": a[2] - b[2]}
+            assert (stats.energy_tx_j, stats.energy_listen_j,
+                    stats.energy_idle_j) == (a[0] - b[0], a[1] - b[1],
+                                             a[2] - b[2])
 
         res = run.run()
         for n, err in res.conservation_j.items():
@@ -550,6 +553,31 @@ class TestCarefulRound:
         self._check_round_books(run, k, before)
 
 
+class TestRoundRecords:
+    @staticmethod
+    def _accountant():
+        sc = flat_scenario(2)
+        run = ProtocolRun(sc, "ewan", RandomStreams(11, 0), sc.traces)
+        tp = _FloodTransport(run, 1)
+        record = RoundRecord("multi_hop", 1, tp.rs)
+        return run, record, _RoundAccountant(run, record, tp, [1, 2])
+
+    def test_close_records_each_participant(self):
+        run, record, acc = self._accountant()
+        acc.close({1: True, 2: False}, {1}, {1, 2}, 2)
+        assert record.nodes == {1: NodeRoundStats(True, 1, 1, 0.0, 0.0, 0.0),
+                                2: NodeRoundStats(False, 0, 1, 0.0, 0.0, 0.0)}
+        assert [ev.kind for ev in run.events] == ["round"]
+
+    def test_close_rejects_a_delivery_never_attempted(self):
+        run, record, acc = self._accountant()
+        with pytest.raises(ValueError, match="cannot deliver more packets "
+                                             "than attempted"):
+            acc.close({1: True, 2: True}, {1}, {2}, 1)
+        assert record.nodes == {}
+        assert run.events == []
+
+
 class TestRunLifetime:
     @pytest.mark.parametrize("protocol", ("ewan", "single_hop"))
     def test_finished_run_is_freed_without_the_cycle_collector(
@@ -573,6 +601,28 @@ class TestRunLifetime:
             gc.enable()
         assert res.delivered_by_node()
         assert freed
+
+    def test_campaign_holds_one_run_result_at_a_time(self, monkeypatch):
+        # a name still bound to the previous protocol's RunResult while the
+        # next run builds its own keeps two whole runs alive at the peak
+        refs = []
+        simulate = campaign.simulate_run
+
+        def spy(*args, **kwargs):
+            alive = [r for r in refs if r() is not None]
+            assert not alive, f"{len(alive)} earlier RunResult(s) alive"
+            result = simulate(*args, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(campaign, "simulate_run", spy)
+        gc.disable()
+        try:
+            campaign.run_campaign(flat_scenario(2), ("ewan", "single_hop"),
+                                  n_runs=2, master_seed=11)
+        finally:
+            gc.enable()
+        assert len(refs) == 4
 
 
 class TestSharedHarvestAcrossProtocols:
