@@ -2,6 +2,11 @@
 scheduled calls, and seeded random streams shared by every protocol
 implementation.
 
+Reception and capture read their doubles one at a time through Draws,
+which takes them from the stream in blocks: a PCG64 generator gives the
+same doubles in one block call as in as many scalar calls, so a run's
+outcomes do not depend on the block size.
+
 Time is integer microseconds throughout the engine. Durations entering the
 engine are rounded up to the next microsecond, which keeps event comparisons
 exact and runs bit-for-bit reproducible.
@@ -106,6 +111,29 @@ class RandomStreams:
             return self._gens[name]
         except KeyError:
             raise SimulationError(f"unknown random stream: {name!r}") from None
+
+
+class Draws:
+    """The doubles of one generator, one per random() call, in order.
+
+    They are drawn BLOCK at a time with one Generator.random(BLOCK) call,
+    which gives the same doubles as BLOCK scalar Generator.random() calls.
+    The generator itself runs ahead of the doubles read so far, so it must
+    not be drawn from directly while a Draws reads it.
+    """
+
+    BLOCK = 4096
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._next = iter(()).__next__  # empty: the first read draws a block
+
+    def random(self) -> float:
+        try:
+            return self._next()
+        except StopIteration:
+            self._next = iter(self._gen.random(self.BLOCK).tolist()).__next__
+            return self._next()
 
 
 def draw_uniform(stream: np.random.Generator, lo: float, hi: float) -> float:

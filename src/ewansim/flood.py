@@ -20,23 +20,28 @@ one-payload sub-slot that reaches no listener: no wave formed, so every
 later window is a subset of that one and can reach no listener either.
 
 In a one-payload sub-slot each listener receives with the best lone-packet
-probability among the transmitters that reach it, drawing only when that
-probability is strictly between 0 and 1, in ascending node order. Node sets
-are bitmasks (bit ``j`` for node ``j``) over the link matrix's cached
-``reach_masks``.
+probability among the transmitters that reach it: the first of its
+senders, ranked by that probability, that transmits. It draws only when
+the probability is strictly between 0 and 1, in ascending node order. A
+sub-slot with distinct payloads calls ``resolve_concurrent`` once per
+listener, in ascending node order, with plain ``(packet, sender, rx_dbm)``
+attempts from the link matrix's cached received powers. Node sets are
+bitmasks (bit ``j`` for node ``j``) over its cached ``reach_masks``.
+
+Every draw is one ``stream.random()`` call, so the stream may be a numpy
+Generator or an ``engine.Draws`` over one, with the same outcome.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional
+from typing import AbstractSet, Mapping, NamedTuple, Optional
 
 import numpy as np
 
+from .engine import Draws
 from .links import LinkMatrix, mask_nodes, node_mask
 from .radio import (
     DEFAULT_CAPTURE_SIGMA_DB,
     DEFAULT_RAMP_DB,
-    ConcurrentAttempt,
     RadioConfig,
     resolve_concurrent,
     time_on_air,
@@ -54,47 +59,29 @@ class FloodNodeResult(NamedTuple):
     tx_count: int
 
 
-@dataclass(frozen=True)
-class FloodResult:
+class FloodResult(NamedTuple):
+    """A node transmits for tx_count * toa_s seconds and listens for the
+    rest of its radio_on_s."""
+
     nodes: dict[int, FloodNodeResult]
     n_slots: int
     toa_s: float
     slot_s: float
-    # span -> per-node radio time split, see radio_times
-    _times: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     @property
     def duration_s(self) -> float:
         return self.n_slots * self.slot_s
 
-    def radio_times(self, span: float) -> dict[int, tuple[float, float, float]]:
-        """node -> (listen s, transmit s, idle s) within a slot of ``span``
-        seconds carrying this flood; computed once per span, so a memoized
-        flood reuses it."""
-        times = self._times.get(span)
-        if times is None:
-            times = self._times[span] = {}
-            split: dict[FloodNodeResult, tuple[float, float, float]] = {}
-            for node, r in self.nodes.items():
-                t = split.get(r)
-                if t is None:
-                    tx_s = r.tx_count * self.toa_s
-                    t = split[r] = (r.radio_on_s - tx_s, tx_s,
-                                    span - r.radio_on_s)
-                times[node] = t
-        return times
-
 
 def simulate_flood(
     initiator: int,
     payload_bytes: int,
-    participants: set[int],
+    participants: AbstractSet[int],
     links: LinkMatrix,
     config: RadioConfig,
     hops: int,
     retransmissions: int,
-    stream: np.random.Generator,
+    stream: np.random.Generator | Draws,
 ) -> FloodResult:
     """Flood one packet from a single initiator to all participants.
 
@@ -118,12 +105,12 @@ def simulate_flood(
 def simulate_contention_flood(
     initiators: Mapping[int, int],
     payload_bytes: int,
-    participants: set[int],
+    participants: AbstractSet[int],
     links: LinkMatrix,
     config: RadioConfig,
     hops: int,
     retransmissions: int,
-    stream: np.random.Generator,
+    stream: np.random.Generator | Draws,
 ) -> FloodResult:
     """Flood with several initiators carrying distinct packets.
 
@@ -151,12 +138,12 @@ def simulate_contention_flood(
 def _run_flood(
     holders: dict[int, int],
     payload_bytes: int,
-    participants: set[int],
+    participants: AbstractSet[int],
     links: LinkMatrix,
     config: RadioConfig,
     hops: int,
     retransmissions: int,
-    stream: np.random.Generator,
+    stream: np.random.Generator | Draws,
 ) -> FloodResult:
     if hops < 1:
         raise ValueError("hops must be >= 1")
@@ -168,34 +155,51 @@ def _run_flood(
     n_slots = hops + retransmissions
     budget = retransmissions + 1
 
-    reach, sure, heard, p_to = links.reach_masks(config)
+    reach, sure, senders = links.reach_masks(config)
 
-    packet = dict(holders)
     payloads = set(holders.values())
+    contention = len(payloads) > 1
     listening = node_mask(participants)
-    # per wave: its nodes in id order, and as bitmasks the wave itself, the
-    # nodes its members reach, and the nodes they reach with certainty
-    waves: list[list[int]] = []
+    # a node that never receives listens through the whole flood
+    nodes = dict.fromkeys(
+        participants, FloodNodeResult(False, None, None, n_slots * slot_s, 0))
+    # per wave: packet -> the bitmask of the wave's nodes holding it; and
+    # as bitmasks the wave itself, the nodes its members reach, and the
+    # nodes they reach with certainty
+    waves: list[dict[int, int]] = []
     fronts: list[tuple[int, int, int]] = []
-    wave, got = sorted(holders), node_mask(holders)
+    wave: dict[int, int] = {}
+    for u, pkt in holders.items():
+        wave[pkt] = wave.get(pkt, 0) | 1 << u
+    got = node_mask(holders)
     slot = 0
     while True:
         listening &= ~got
+        # a node of this wave listened in sub-slots 1 to slot, transmits in
+        # the tx_count after, and then turns its radio off; the wave's
+        # nodes holding one packet share one record
+        tx_count = budget if slot + budget <= n_slots else n_slots - slot
+        radio_on_s = (slot + tx_count) * slot_s
         r = s = 0
-        for u in wave:
-            r |= reach[u]
-            s |= sure[u]
+        for pkt, bits in wave.items():
+            rec = FloodNodeResult(True, pkt, slot, radio_on_s, tx_count)
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                u = low.bit_length() - 1
+                nodes[u] = rec
+                r |= reach[u]
+                s |= sure[u]
         waves.append(wave)
         fronts.append((got, r, s))
         slot += 1
         if slot > n_slots or not listening:
             break
         lo = slot - budget if slot > budget else 0
-        if len(payloads) > 1:
-            transmitters = sorted(u for w in waves[lo:slot] for u in w)
-            if not transmitters:
+        if contention:
+            sent = {pkt for w in waves[lo:slot] for pkt in w}
+            if not sent:
                 break  # every later window is empty too
-            sent = {packet[u] for u in transmitters}
         else:
             sent = payloads
         if len(sent) == 1:
@@ -213,63 +217,33 @@ def _run_flood(
                 break  # later windows are subsets of this one
             got = reached & s
             unsure = reached & ~s
-            if unsure:
-                # one batched call gives the doubles, and leaves the
-                # generator state, of k scalar calls in ascending node order
-                k = unsure.bit_count()
-                draws = iter(stream.random(k).tolist() if k > 1
-                             else (stream.random(),))
-                while unsure:
-                    bit = unsure & -unsure  # the lowest node left
-                    unsure ^= bit
-                    v = bit.bit_length() - 1
-                    # the best p over the transmitters that reach v
-                    p_from = p_to[v]
-                    p = 0.0
-                    senders = tx & heard[v]
-                    while senders:
-                        low = senders & -senders
-                        senders ^= low
-                        q = p_from[low.bit_length() - 1]
-                        if q > p:
-                            p = q
-                    if next(draws) < p:
-                        got |= bit
-            wave = mask_nodes(got)
+            while unsure:
+                bit = unsure & -unsure  # the lowest node left
+                unsure ^= bit
+                # the best p over the transmitters that reach this node
+                for p, sender in senders[bit.bit_length() - 1]:
+                    if tx & sender:
+                        break
+                if stream.random() < p:
+                    got |= bit
             (pkt,) = sent
-            for v in wave:
-                packet[v] = pkt
+            wave = {pkt: got} if got else {}
         else:
-            rows = links.loss_rows
-            tx_power = config.tx_power_dbm
-            signals = [(packet[u], u, rows[u]) for u in transmitters]
-            wave = []
+            rx = links.rx_dbm(config)
+            signals = sorted((u, pkt) for w in waves[lo:slot]
+                             for pkt, bits in w.items()
+                             for u in mask_nodes(bits))
+            signals = [(pkt, u, rx[u]) for u, pkt in signals]
+            wave = {}
+            got = 0
             for v in mask_nodes(listening):
                 won = resolve_concurrent(
-                    [ConcurrentAttempt(pkt, u, tx_power - row[v])
-                     for pkt, u, row in signals],
+                    [(pkt, u, row[v]) for pkt, u, row in signals],
                     config.sensitivity_dbm, DEFAULT_RAMP_DB,
                     DEFAULT_CAPTURE_SIGMA_DB, stream,
                 )
                 if won is not None:
-                    packet[v] = won
-                    wave.append(v)
-            got = node_mask(wave)
-
-    # a node listens in every sub-slot up to and including the one it first
-    # receives in, transmits in the window after it, and keeps its radio off
-    # after; the nodes of one wave holding one packet share one record
-    nodes = dict.fromkeys(
-        participants, FloodNodeResult(False, None, None, n_slots * slot_s, 0))
-    for first, wave in enumerate(waves):
-        tx_count = min(budget, n_slots - first)
-        radio_on_s = (first + tx_count) * slot_s
-        shared: dict[int, FloodNodeResult] = {}
-        for v in wave:
-            pkt = packet[v]
-            rec = shared.get(pkt)
-            if rec is None:
-                rec = shared[pkt] = FloodNodeResult(
-                    True, pkt, first, radio_on_s, tx_count)
-            nodes[v] = rec
+                    bit = 1 << v
+                    wave[won] = wave.get(won, 0) | bit
+                    got |= bit
     return FloodResult(nodes=nodes, n_slots=n_slots, toa_s=toa, slot_s=slot_s)

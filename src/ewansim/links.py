@@ -11,12 +11,13 @@ from .radio import DEFAULT_RAMP_DB, RadioConfig, reception_probability
 
 class ReachMasks(NamedTuple):
     """A reception table p[i][j] seen as sets of nodes, each an int whose
-    bit j stands for node j."""
+    bit j stands for node j, and as each listener's ranked senders."""
 
     reach: list[int]  # reach[i]: the j with p[i][j] > 0
     sure: list[int]  # sure[i]: the j with p[i][j] == 1
-    heard: list[int]  # heard[j]: the i with p[i][j] > 0
-    p_to: list[list[float]]  # p_to[j][i] == p[i][j]
+    # senders[j]: (p[i][j], bit i) for each i with p[i][j] > 0, highest
+    # probability first
+    senders: list[list[tuple[float, int]]]
 
 
 def node_mask(nodes: Iterable[int]) -> int:
@@ -43,9 +44,10 @@ class LinkMatrix:
 
     n: int
     loss: np.ndarray = field(repr=False)
-    # the losses as nested lists, for scalar reads in the flood kernel
+    # the losses as nested lists, for scalar reads
     loss_rows: list = field(init=False, repr=False, compare=False)
-    # config -> (reception table, reach masks), filled on first use
+    # config -> (reception table, reach masks, received powers), filled on
+    # first use
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -70,23 +72,23 @@ class LinkMatrix:
     def _cached(self, config: RadioConfig):
         got = self._tables.get(config)
         if got is None:
+            rx = [[config.tx_power_dbm - loss for loss in row]
+                  for row in self.loss_rows]
             table = [
-                [reception_probability(config.tx_power_dbm - loss,
-                                       config.sensitivity_dbm, DEFAULT_RAMP_DB)
-                 for loss in row]
-                for row in self.loss_rows
+                [reception_probability(dbm, config.sensitivity_dbm,
+                                       DEFAULT_RAMP_DB) for dbm in row]
+                for row in rx
             ]
-            columns = [list(col) for col in zip(*table)]
             masks = ReachMasks(
                 reach=[node_mask(j for j, p in enumerate(row) if p > 0.0)
                        for row in table],
                 sure=[node_mask(j for j, p in enumerate(row) if p >= 1.0)
                       for row in table],
-                heard=[node_mask(i for i, p in enumerate(col) if p > 0.0)
-                       for col in columns],
-                p_to=columns,
+                senders=[sorted(((p, 1 << i) for i, p in enumerate(col)
+                                 if p > 0.0), reverse=True)
+                         for col in zip(*table)],
             )
-            got = self._tables[config] = (table, masks)
+            got = self._tables[config] = (table, masks, rx)
         return got
 
     def reception_table(self, config: RadioConfig) -> list[list[float]]:
@@ -97,6 +99,11 @@ class LinkMatrix:
     def reach_masks(self, config: RadioConfig) -> ReachMasks:
         """The reception table as bitmasks, cached with it."""
         return self._cached(config)[1]
+
+    def rx_dbm(self, config: RadioConfig) -> list[list[float]]:
+        """rx[i][j], the power in dBm at which j hears i's transmission,
+        cached with the reception table."""
+        return self._cached(config)[2]
 
     def link_probability(self, i: int, j: int, config: RadioConfig) -> float:
         """Reception probability of a lone packet from i heard at j."""

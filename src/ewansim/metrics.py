@@ -130,21 +130,20 @@ def write_metrics_csv(path: str, metrics: Dict[int, NodeMetrics]):
 
 
 def write_rounds_csv(path: str, result: RunResult):
+    """One row per node per round, formatted as csv.writer would: no field
+    needs quoting, floats are their repr, and rows end in \\r\\n."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vsn", "round_index", "round_start_s", "node",
-                         "received_first_schedule", "packets_delivered",
-                         "packets_attempted", "energy_tx_j",
-                         "energy_listen_j", "energy_idle_j"])
+        fh.write("vsn,round_index,round_start_s,node,received_first_schedule,"
+                 "packets_delivered,packets_attempted,energy_tx_j,"
+                 "energy_listen_j,energy_idle_j\r\n")
         for rec in result.records:
-            for node in sorted(rec.nodes):
-                st = rec.nodes[node]
-                writer.writerow([
-                    rec.vsn, rec.round_index, repr(rec.round_start_s), node,
-                    int(st.received_first_schedule), st.packets_delivered,
-                    st.packets_attempted, repr(st.energy_tx_j),
-                    repr(st.energy_listen_j), repr(st.energy_idle_j),
-                ])
+            head = f"{rec.vsn},{rec.round_index},{rec.round_start_s!r},"
+            fh.write("".join([
+                f"{head}{node},{st.received_first_schedule:d},"
+                f"{st.packets_delivered},{st.packets_attempted},"
+                f"{st.energy_tx_j!r},{st.energy_listen_j!r},"
+                f"{st.energy_idle_j!r}\r\n"
+                for node, st in sorted(rec.nodes.items())]))
 
 
 # events.log text per RunEvent kind: {node} is the event's node, {0}, {1},

@@ -27,7 +27,8 @@ second schedule). A transport supplies what differs between the VSNs:
 floods on multi-hop (_FloodTransport), point-to-point exchanges with the
 host on single-hop (_HostTransport). Energy is booked through one
 _RoundAccountant: each node's per-slot radio time is summed into
-[listen, tx, idle] and applied as a few account advances. A participant
+[listen, tx, idle] and applied as a few account advances, the idle
+running up to the flush time. A participant
 whose storage is below a conservative worst-case round cost (a whole
 round at transmit power) is fragile: only fragile nodes are flushed at
 each slot end, so a death takes effect between slots and removes the
@@ -43,6 +44,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ..energy import CLOCK_EPS_S, EnergyStorage, HarvestTrace, NodeAccount
 from ..engine import (
+    Draws,
     EventQueue,
     RandomStreams,
     SimulationError,
@@ -54,7 +56,6 @@ from ..flood import FloodResult, simulate_contention_flood, simulate_flood
 from ..radio import (
     DEFAULT_CAPTURE_SIGMA_DB,
     DEFAULT_RAMP_DB,
-    ConcurrentAttempt,
     RadioConfig,
     resolve_concurrent,
     time_on_air,
@@ -94,6 +95,11 @@ class _RoundAccountant:
     round cost; settle() flushes the live fragile nodes at each slot end,
     so a death takes effect before the node's next slot. Every other
     node is flushed once, at the round end.
+
+    Pending idle is read only by a flush without end_t, which is how the
+    executor books the leavers after the first schedule. Every later
+    flush idles up to its end_t, so transports add idle time for the
+    first schedule alone.
     """
 
     def __init__(self, run: "ProtocolRun", record: RoundRecord, tp,
@@ -189,15 +195,19 @@ class _FloodTransport:
         return [(n, role) for role, nodes in roles for n in nodes]
 
     @staticmethod
-    def _book(res: FloodResult, span: float, group: Sequence[int],
-              costs: dict[int, list[float]]):
-        times = res.radio_times(span)
+    def _book(res: FloodResult, group: Sequence[int],
+              costs: dict[int, list[float]], span: Optional[float] = None):
+        """Add group's listen and tx time in flood res to costs and, given
+        the slot's span (the first schedule only), the idle rest."""
+        toa, nodes = res.toa_s, res.nodes
         for n in group:
-            li, tx, idl = times[n]
+            r = nodes[n]
+            tx = r.tx_count * toa
             c = costs[n]
-            c[0] += li
+            c[0] += r.radio_on_s - tx
             c[1] += tx
-            c[2] += idl
+            if span is not None:
+                c[2] += span - r.radio_on_s
 
     def first_schedule(self, pairs: list[tuple[int, str]],
                        acc: _RoundAccountant) -> dict[int, bool]:
@@ -213,8 +223,8 @@ class _FloodTransport:
         # a passive listener that heard nothing listens on to the round end
         payers = [n for n, role in pairs if received[n] or role != "listen"]
         if res is not None:
-            self._book(res, lay.schedule_slot + lay.gap,
-                       [n for n in payers if n in flood_ids], acc.costs)
+            self._book(res, [n for n in payers if n in flood_ids], acc.costs,
+                       lay.schedule_slot + lay.gap)
         for n in payers:
             if n not in flood_ids:
                 # severed this round: listened to the whole slot for nothing
@@ -222,15 +232,15 @@ class _FloodTransport:
         return received
 
     def _slot(self, kind: str, initiators: Mapping[int, int], payload: int,
-              alive: list[int], span: float, acc: _RoundAccountant):
+              alive: list[int], acc: _RoundAccountant):
         """Flood one slot among the host and alive; the host's result."""
         run = self.run
         res = run._flood(kind, initiators, frozenset([run.HOST] + alive),
                          payload)
-        self._book(res, span, alive, acc.costs)
+        self._book(res, alive, acc.costs)
         return res.nodes[run.HOST]
 
-    def data(self, owner: int, alive: list[int], span: float,
+    def data(self, owner: int, alive: list[int],
              acc: _RoundAccountant) -> Optional[bool]:
         """Whether the host got owner's packet; None if a fragile owner
         cannot afford its own flood."""
@@ -239,18 +249,17 @@ class _FloodTransport:
                 <= run.mh_owner_tx_j):
             return None
         return self._slot("data", {owner: owner}, run.params.data_payload,
-                          alive, span, acc).received
+                          alive, acc).received
 
-    def contend(self, contenders: list[int], alive: list[int], span: float,
+    def contend(self, contenders: list[int], alive: list[int],
                 acc: _RoundAccountant) -> Optional[int]:
         host = self._slot("cont", {c: c for c in contenders},
-                          CONTENTION_BYTES, alive, span, acc)
+                          CONTENTION_BYTES, alive, acc)
         return host.packet_id if host.received else None
 
-    def second_schedule(self, alive: list[int], span: float,
-                        acc: _RoundAccountant):
+    def second_schedule(self, alive: list[int], acc: _RoundAccountant):
         self._slot("sched", {self.run.HOST: self.run.HOST},
-                   self.run.params.schedule_payload_mh, alive, span, acc)
+                   self.run.params.schedule_payload_mh, alive, acc)
 
 
 class _HostTransport:
@@ -285,10 +294,10 @@ class _HostTransport:
         return ([(n, "member") for n in members]
                 + [(n, r) for n, r in waiters if n in alive])
 
-    def _hear(self, n: int, c: list[float], first: bool) -> bool:
+    def _hear(self, n: int, c: list[float]) -> bool:
         """Whether n decodes one of the host's schedule copies. Books its
-        listening into cost list c, then the rest of the slot as idle,
-        except for a node that misses the first schedule: it leaves."""
+        listening into cost list c. No idle: a node that misses the first
+        schedule leaves when its listening ends."""
         run, lay = self.run, self.layout
         got = False
         listen_s = lay.schedule_slot
@@ -300,15 +309,13 @@ class _HostTransport:
                     listen_s = lay.schedule_listen_until_copy(copy)
                     break
         c[0] += listen_s
-        if got or not first:
-            c[2] += lay.schedule_slot - listen_s + lay.gap
         return got
 
     def first_schedule(self, pairs: list[tuple[int, str]],
                        acc: _RoundAccountant) -> dict[int, bool]:
-        return {n: self._hear(n, acc.costs[n], True) for n, _ in pairs}
+        return {n: self._hear(n, acc.costs[n]) for n, _ in pairs}
 
-    def data(self, owner: int, alive: list[int], span: float,
+    def data(self, owner: int, alive: list[int],
              acc: _RoundAccountant) -> bool:
         """Send owner's packet to the host; whether the host got it."""
         run, lay, costs = self.run, self.layout, acc.costs
@@ -317,13 +324,9 @@ class _HostTransport:
         c = costs[owner]
         c[0] += lay.toa_data  # host repetition
         c[1] += lay.toa_data
-        c[2] += lay.turnaround + lay.gap
-        for n in alive:
-            if n != owner:
-                costs[n][2] += span
         return got
 
-    def contend(self, contenders: list[int], alive: list[int], span: float,
+    def contend(self, contenders: list[int], alive: list[int],
                 acc: _RoundAccountant) -> Optional[int]:
         run, lay, costs = self.run, self.layout, acc.costs
         heard = [n for n in contenders
@@ -333,17 +336,12 @@ class _HostTransport:
             c = costs[n]
             c[0] += lay.toa_contention  # winner echo
             c[1] += lay.toa_contention
-            c[2] += lay.turnaround + lay.gap
-        for n in alive:
-            if n not in contenders:
-                costs[n][2] += span
         return winner
 
-    def second_schedule(self, alive: list[int], span: float,
-                        acc: _RoundAccountant):
+    def second_schedule(self, alive: list[int], acc: _RoundAccountant):
         """A timing refresh only: never changes membership."""
         for n in alive:
-            self._hear(n, acc.costs[n], False)
+            self._hear(n, acc.costs[n])
 
 
 @dataclass(frozen=True)
@@ -506,7 +504,8 @@ class ProtocolRun:
         for n in self.nodes:
             self.queue.schedule(to_us(horizon_s), self._final_advance, n)
 
-        self._rx = streams.stream("reception")
+        # reception and capture draws, read one double at a time
+        self._rx = Draws(streams.stream("reception"))
         self._backoff = streams.stream("backoff")
 
         for n in self.nodes:
@@ -691,9 +690,8 @@ class ProtocolRun:
                       nodes: Sequence[int]) -> Optional[int]:
         """Which of nodes' concurrent transmissions on cfg's channel the
         host decodes, if any."""
-        attempts = [ConcurrentAttempt(packet_id=n, sender=n, rx_power_dbm=(
-            cfg.tx_power_dbm - self.links_sh.loss_db(self.HOST, n)))
-            for n in nodes]
+        rx = self.links_sh.rx_dbm(cfg)[self.HOST]
+        attempts = [(n, n, rx[n]) for n in nodes]
         return resolve_concurrent(attempts, cfg.sensitivity_dbm,
                                   DEFAULT_RAMP_DB, DEFAULT_CAPTURE_SIGMA_DB,
                                   self._rx)
@@ -703,7 +701,7 @@ class ProtocolRun:
             return True
         if p <= 0.0:
             return False
-        return float(self._rx.random()) < p
+        return self._rx.random() < p
 
     # ------------------------------------------------------------------
     # flood plumbing
@@ -720,13 +718,13 @@ class ProtocolRun:
                 return hit
         if contention:
             res = simulate_contention_flood(
-                dict(initiators), payload, set(participants), self.links_mh,
+                initiators, payload, participants, self.links_mh,
                 self.cfg_mh, self.params.flood_hops, self.params.flood_retx,
                 self._rx)
         else:
             (initiator,) = initiators
             res = simulate_flood(
-                initiator, payload, set(participants), self.links_mh,
+                initiator, payload, participants, self.links_mh,
                 self.cfg_mh, self.params.flood_hops, self.params.flood_retx,
                 self._rx)
         if cache_key is not None:
@@ -829,26 +827,20 @@ class ProtocolRun:
         for what, span in layout.slot_plan(assignments):
             if what == "contention":
                 live = [n for n in alive if n not in assignments]
-                used = bool(live)
-                if used:
-                    w = tp.contend(live, alive, span, acc)
+                if live:
+                    w = tp.contend(live, alive, acc)
                     if w is not None:
                         tp.book.enqueue_demand(w)
                         self._event(rs, "contend_won", w, tp.tag, k)
             elif what == "schedule":
-                used = bool(alive)
-                if used:
-                    tp.second_schedule(alive, span, acc)
-            else:
-                got = tp.data(what, alive, span, acc) if what in alive else None
-                used = got is not None
-                if used:
+                if alive:
+                    tp.second_schedule(alive, acc)
+            elif what in alive:
+                got = tp.data(what, alive, acc)
+                if got is not None:
                     attempted.add(what)
                     if got:
                         delivered.add(what)
-            if not used:
-                for n in alive:
-                    acc.costs[n][2] += span
             t += span
             acc.settle(alive, t)
 

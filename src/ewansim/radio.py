@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
 
 # supply power drawn from the node's regulated rail while transmitting,
 # keyed by configured output power (dBm) -> watts
@@ -164,14 +163,6 @@ def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
-def dbm_to_mw(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw: float) -> float:
-    return 10.0 * math.log10(mw)
-
-
 class ConcurrentAttempt(NamedTuple):
     """One transmission as seen by a listener during an overlap."""
 
@@ -181,69 +172,69 @@ class ConcurrentAttempt(NamedTuple):
 
 
 def resolve_concurrent(
-    attempts: Sequence[ConcurrentAttempt],
+    attempts: Sequence[tuple[int, int, float]],
     sensitivity_dbm: float,
     ramp_width_db: float,
     capture_sigma_db: float,
-    stream: np.random.Generator,
+    stream,
 ) -> Optional[int]:
     """Outcome of temporally overlapping transmissions at one listener.
 
-    Attempts carrying the same packet_id are synchronous retransmissions of
-    the same data and combine constructively: the group acts as one signal
-    whose power is the linear sum of its members and whose decodable
-    candidate is the strongest member. Groups with distinct payloads
-    compete: the strongest group is captured with probability
-    Phi(delta / sigma), where delta is its power advantage in dB over the
-    linear-watt sum of every other group. With exactly two competing
-    payloads the weaker one gets the complementary capture probability;
-    with more than two, a failed capture means nothing is decodable.
-    Reception of the winning candidate is then scaled by its own
-    reception_probability. Returns the received packet_id or None.
+    Each attempt is a ConcurrentAttempt or a plain (packet_id, sender,
+    rx_power_dbm) tuple. Attempts carrying the same packet_id are
+    synchronous retransmissions of the same data and combine
+    constructively: the group acts as one signal whose power is the linear
+    sum of its members and whose decodable candidate is the strongest
+    member. Groups with distinct payloads compete: the strongest group is
+    captured with probability Phi(delta / sigma), where delta is its power
+    advantage in dB over the linear-watt sum of every other group. With
+    exactly two competing payloads the weaker one gets the complementary
+    capture probability; with more than two, a failed capture means
+    nothing is decodable. Reception of the winning candidate is then
+    scaled by its own reception_probability. Each draw is one
+    stream.random() call, made only for a probability strictly between 0
+    and 1; stream is a numpy Generator or an engine.Draws. Returns the
+    received packet_id or None.
     """
     if not attempts:
         raise ValueError("resolve_concurrent requires at least one attempt")
 
-    groups: dict[int, list[ConcurrentAttempt]] = {}
-    for att in attempts:
-        groups.setdefault(att.packet_id, []).append(att)
-
-    def group_power_mw(members: list[ConcurrentAttempt]) -> float:
-        return sum(dbm_to_mw(a.rx_power_dbm) for a in members)
-
-    def candidate(members: list[ConcurrentAttempt]) -> ConcurrentAttempt:
-        return max(members, key=lambda a: a.rx_power_dbm)
-
-    def bernoulli(p: float) -> bool:
-        if p <= 0.0:
-            return False
-        if p >= 1.0:
-            return True
-        return stream.random() < p
+    # packet_id -> [strongest member's dBm, every member's mW in order]
+    groups: dict[int, list] = {}
+    for packet_id, _, dbm in attempts:
+        group = groups.get(packet_id)
+        if group is None:
+            groups[packet_id] = [dbm, [10.0 ** (dbm / 10.0)]]
+        else:
+            if dbm > group[0]:
+                group[0] = dbm
+            group[1].append(10.0 ** (dbm / 10.0))
 
     if len(groups) == 1:
-        best = candidate(next(iter(groups.values())))
-        p = reception_probability(best.rx_power_dbm, sensitivity_dbm, ramp_width_db)
-        return best.packet_id if bernoulli(p) else None
-
-    ranked = sorted(
-        groups.items(), key=lambda kv: group_power_mw(kv[1]), reverse=True
-    )
-    strongest_id, strongest_members = ranked[0]
-    rest_mw = sum(group_power_mw(members) for _, members in ranked[1:])
-    strong_dbm = mw_to_dbm(group_power_mw(strongest_members))
-    delta_db = strong_dbm - mw_to_dbm(rest_mw)
-    capture_p = normal_cdf(delta_db / capture_sigma_db)
-
-    if len(ranked) == 2:
-        winner_id, winner_members = ranked[0] if bernoulli(capture_p) else ranked[1]
+        ((winner_id, (best_dbm, _)),) = groups.items()
     else:
-        if not bernoulli(capture_p):
+        # (power mW, packet_id, strongest dBm), strongest first; the sort
+        # is stable, so equal powers keep their first-seen order
+        ranked = sorted([(sum(mws), packet_id, best)
+                         for packet_id, (best, mws) in groups.items()],
+                        key=itemgetter(0), reverse=True)
+        strong_mw = ranked[0][0]
+        rest_mw = sum([mw for mw, _, _ in ranked[1:]])
+        delta_db = 10.0 * math.log10(strong_mw) - 10.0 * math.log10(rest_mw)
+        captured = _bernoulli(normal_cdf(delta_db / capture_sigma_db), stream)
+        if captured:
+            _, winner_id, best_dbm = ranked[0]
+        elif len(ranked) == 2:
+            _, winner_id, best_dbm = ranked[1]
+        else:
             return None
-        winner_id, winner_members = strongest_id, strongest_members
-    winner_cand = candidate(winner_members)
-    p = reception_probability(
-        winner_cand.rx_power_dbm, sensitivity_dbm, ramp_width_db
-    )
-    return winner_id if bernoulli(p) else None
+    p = reception_probability(best_dbm, sensitivity_dbm, ramp_width_db)
+    return winner_id if _bernoulli(p, stream) else None
 
+
+def _bernoulli(p: float, stream) -> bool:
+    if p <= 0.0:
+        return False
+    if p >= 1.0:
+        return True
+    return stream.random() < p

@@ -1,21 +1,26 @@
 """Independent oracles used by the test suite.
 
-Everything here except ``reference_flood`` is implemented directly from
-first principles (transceiver datasheet recipe, closed-form probability,
-textbook BFS) on purpose, without importing the package under test, so tests
-compare two independently written computations. The two exceptions are
-references that optimized kernels must match bit for bit:
+Everything here except the ``reference_*`` functions is implemented
+directly from first principles (transceiver datasheet recipe, closed-form
+probability, textbook BFS) on purpose, without importing the package under
+test, so tests compare two independently written computations. The
+exceptions are references that optimized kernels must match bit for bit:
 ``reference_flood`` is the flood kernel's plain per-listener loop, which
-resolves every listener in every sub-slot through ``resolve_concurrent``,
-and ``reference_integrate`` is the energy kernel's segment walk booking
-every step through the ``EnergyLedger`` methods.
+resolves every listener in every sub-slot through
+``reference_resolve_concurrent``, the capture rule as first written (a
+closure per helper, every group's power recomputed where it is used);
+``reference_integrate`` is the energy kernel's segment walk booking every
+step through the ``EnergyLedger`` methods.
 """
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
+
+import numpy as np
 
 from ewansim.flood import FLOOD_GUARD_S, FloodNodeResult, FloodResult
-from ewansim.radio import ConcurrentAttempt, resolve_concurrent, time_on_air
+from ewansim.radio import ConcurrentAttempt, reception_probability, time_on_air
 
 
 def lora_toa_datasheet(
@@ -263,6 +268,82 @@ def reference_integrate(acct, t1, p_load, category, die):
     return None
 
 
+def dbm_to_mw(dbm: float) -> float:
+    return 10.0 ** (dbm / 10.0)
+
+
+def mw_to_dbm(mw: float) -> float:
+    return 10.0 * math.log10(mw)
+
+
+def reference_resolve_concurrent(
+    attempts: Sequence[ConcurrentAttempt],
+    sensitivity_dbm: float,
+    ramp_width_db: float,
+    capture_sigma_db: float,
+    stream: np.random.Generator,
+) -> Optional[int]:
+    """Outcome of temporally overlapping transmissions at one listener.
+
+    Attempts carrying the same packet_id are synchronous retransmissions of
+    the same data and combine constructively: the group acts as one signal
+    whose power is the linear sum of its members and whose decodable
+    candidate is the strongest member. Groups with distinct payloads
+    compete: the strongest group is captured with probability
+    Phi(delta / sigma), where delta is its power advantage in dB over the
+    linear-watt sum of every other group. With exactly two competing
+    payloads the weaker one gets the complementary capture probability;
+    with more than two, a failed capture means nothing is decodable.
+    Reception of the winning candidate is then scaled by its own
+    reception_probability. Returns the received packet_id or None.
+    """
+    if not attempts:
+        raise ValueError("resolve_concurrent requires at least one attempt")
+
+    groups: dict[int, list[ConcurrentAttempt]] = {}
+    for att in attempts:
+        groups.setdefault(att.packet_id, []).append(att)
+
+    def group_power_mw(members: list[ConcurrentAttempt]) -> float:
+        return sum(dbm_to_mw(a.rx_power_dbm) for a in members)
+
+    def candidate(members: list[ConcurrentAttempt]) -> ConcurrentAttempt:
+        return max(members, key=lambda a: a.rx_power_dbm)
+
+    def bernoulli(p: float) -> bool:
+        if p <= 0.0:
+            return False
+        if p >= 1.0:
+            return True
+        return stream.random() < p
+
+    if len(groups) == 1:
+        best = candidate(next(iter(groups.values())))
+        p = reception_probability(best.rx_power_dbm, sensitivity_dbm, ramp_width_db)
+        return best.packet_id if bernoulli(p) else None
+
+    ranked = sorted(
+        groups.items(), key=lambda kv: group_power_mw(kv[1]), reverse=True
+    )
+    strongest_id, strongest_members = ranked[0]
+    rest_mw = sum(group_power_mw(members) for _, members in ranked[1:])
+    strong_dbm = mw_to_dbm(group_power_mw(strongest_members))
+    delta_db = strong_dbm - mw_to_dbm(rest_mw)
+    capture_p = normal_cdf(delta_db / capture_sigma_db)
+
+    if len(ranked) == 2:
+        winner_id, winner_members = ranked[0] if bernoulli(capture_p) else ranked[1]
+    else:
+        if not bernoulli(capture_p):
+            return None
+        winner_id, winner_members = strongest_id, strongest_members
+    winner_cand = candidate(winner_members)
+    p = reception_probability(
+        winner_cand.rx_power_dbm, sensitivity_dbm, ramp_width_db
+    )
+    return winner_id if bernoulli(p) else None
+
+
 def reference_flood(holders, payload_bytes, participants, links, config,
                     hops, retransmissions, stream, ramp_width_db,
                     capture_sigma_db):
@@ -307,7 +388,7 @@ def reference_flood(holders, payload_bytes, participants, links, config,
                 )
                 for u in transmitters
             ]
-            won = resolve_concurrent(
+            won = reference_resolve_concurrent(
                 attempts, config.sensitivity_dbm, ramp_width_db,
                 capture_sigma_db, stream,
             )

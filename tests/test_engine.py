@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewansim.engine import (
+    Draws,
     EventQueue,
     RandomStreams,
     SimulationError,
@@ -138,6 +139,26 @@ class TestRandomStreams:
         xs = np.array([draw_uniform(g, 0.0, 1.0) for _ in range(100_000)])
         assert abs(xs.mean() - 0.5) < 0.01
         assert xs.min() >= 0.0 and xs.max() <= 1.0
+
+
+class TestDraws:
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_gives_the_scalar_doubles_across_refills(self, monkeypatch,
+                                                     block):
+        if block is not None:
+            monkeypatch.setattr(Draws, "BLOCK", block)
+        n = 2 * Draws.BLOCK + 5  # two refills and part of a third
+        scalar = RandomStreams(9).stream("reception")
+        draws = Draws(RandomStreams(9).stream("reception"))
+        got = [draws.random() for _ in range(n)]
+        assert got == [scalar.random() for _ in range(n)]
+        assert all(type(x) is float for x in got)
+
+    def test_draws_nothing_before_the_first_read(self):
+        g = RandomStreams(9).stream("reception")
+        before = g.bit_generator.state
+        Draws(g)
+        assert g.bit_generator.state == before
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=50))

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewansim.engine import RandomStreams
+from ewansim.engine import Draws, RandomStreams
 from ewansim.flood import (
     FLOOD_GUARD_S,
     simulate_contention_flood,
     simulate_flood,
 )
 from ewansim.links import LinkMatrix
+from ewansim.protocol.run import _FloodTransport
 from ewansim.radio import (
     DEFAULT_CAPTURE_SIGMA_DB,
     DEFAULT_RAMP_DB,
@@ -212,19 +213,21 @@ class TestSingleInitiator:
         b = simulate_flood(0, 20, set(range(n)), links, CFG, 6, 2, stream(999))
         assert a == b
 
-    def test_radio_times_split_each_slot_and_are_kept(self):
+    def test_flood_transport_books_each_nodes_radio_time(self):
         links = ramp_matrix(6, seed=2)
         res = simulate_flood(0, 20, set(range(6)), links, CFG, 4, 2,
                              stream(5))
         span = res.duration_s + 0.01
-        times = res.radio_times(span)
-        assert res.radio_times(span) is times
-        assert set(times) == set(res.nodes)
-        for node, (listen, tx, idle) in times.items():
+        group = [1, 2, 4, 5]
+        slot = {n: [0.0, 0.0, 0.0] for n in group}
+        first = {n: [0.0, 0.0, 0.0] for n in group}
+        _FloodTransport._book(res, group, slot)
+        _FloodTransport._book(res, group, first, span)
+        for node in group:
             r = res.nodes[node]
-            assert tx == r.tx_count * res.toa_s
-            assert listen == r.radio_on_s - tx
-            assert idle == span - r.radio_on_s
+            tx = r.tx_count * res.toa_s
+            assert slot[node] == [r.radio_on_s - tx, tx, 0.0]
+            assert first[node] == [r.radio_on_s - tx, tx, span - r.radio_on_s]
 
     def test_initiator_must_participate(self):
         links = matrix_from_edges(2, {frozenset((0, 1))})
@@ -274,18 +277,24 @@ class TestKernelMatchesReference:
         links, participants = case["links"], case["participants"]
         holders, hops, retx = case["holders"], case["hops"], case["retx"]
         g_kernel, g_ref = stream(case["seed"]), stream(case["seed"])
+        draws = Draws(stream(case["seed"]))
         if len(holders) == 1:
             (initiator,) = holders
             holders = {initiator: initiator}
-            got = simulate_flood(initiator, 20, set(participants), links, CFG,
-                                 hops, retx, g_kernel)
+            got, via_draws = (
+                simulate_flood(initiator, 20, set(participants), links, CFG,
+                               hops, retx, g)
+                for g in (g_kernel, draws))
         else:
-            got = simulate_contention_flood(holders, 20, set(participants),
-                                            links, CFG, hops, retx, g_kernel)
+            got, via_draws = (
+                simulate_contention_flood(holders, 20, set(participants),
+                                          links, CFG, hops, retx, g)
+                for g in (g_kernel, draws))
         want = oracles.reference_flood(
             holders, 20, participants, links, CFG, hops, retx, g_ref,
             DEFAULT_RAMP_DB, DEFAULT_CAPTURE_SIGMA_DB)
         assert got == want
+        assert via_draws == got
         assert g_kernel.bit_generator.state == g_ref.bit_generator.state
         assert set(got.nodes) == participants
         for r in got.nodes.values():
@@ -332,10 +341,22 @@ class TestReceptionTable:
                 bit = 1 << v
                 assert bool(masks.reach[u] & bit) == (table[u][v] > 0.0)
                 assert bool(masks.sure[u] & bit) == (table[u][v] >= 1.0)
-                assert bool(masks.heard[v] & (1 << u)) == (table[u][v] > 0.0)
-                assert masks.p_to[v][u] == table[u][v]
+        for v in range(links.n):
+            ranked = masks.senders[v]
+            assert sorted(ranked) == sorted(
+                (table[u][v], 1 << u) for u in range(links.n)
+                if table[u][v] > 0.0)
+            probs = [p for p, _ in ranked]
+            assert probs == sorted(probs, reverse=True)
         assert any(0 < masks.reach[u].bit_count() < links.n
                    for u in range(links.n))
+
+    def test_received_powers_are_cached_with_the_table(self):
+        links = ramp_matrix(5, seed=6)
+        rx = links.rx_dbm(CFG)
+        assert links.rx_dbm(CFG) is rx
+        assert rx == [[CFG.tx_power_dbm - links.loss_db(u, v)
+                       for v in range(links.n)] for u in range(links.n)]
 
     @pytest.mark.parametrize("links, expected", [
         (matrix_from_edges(5, {frozenset((i, i + 1)) for i in range(4)}),

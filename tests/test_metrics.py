@@ -203,6 +203,29 @@ class TestCsvWriters:
              "0.30000000000000004", "0.0003333333333333333", "2.5e-07"],
         ]
 
+    def test_rounds_csv_bytes_are_a_csv_writer_rendering(self, tmp_path):
+        res = simulate_run(flat_scenario(3), "ewan", master_seed=5)
+        res.records.append(RoundRecord(
+            vsn="multi_hop", round_index=10**6, round_start_s=1e-300,
+            nodes={2: NodeRoundStats(True, 0, 1, -0.0, float("inf"), 1e22)}))
+        path = tmp_path / "rounds.csv"
+        write_rounds_csv(str(path), res)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(ROUNDS_HEADER)
+            for rec in res.records:
+                for node in sorted(rec.nodes):
+                    st = rec.nodes[node]
+                    writer.writerow([
+                        rec.vsn, rec.round_index, repr(rec.round_start_s),
+                        node, int(st.received_first_schedule),
+                        st.packets_delivered, st.packets_attempted,
+                        repr(st.energy_tx_j), repr(st.energy_listen_j),
+                        repr(st.energy_idle_j)])
+        assert len(res.records) > 10
+        assert path.read_bytes() == want.read_bytes()
+
     def test_events_log_is_time_sorted(self, tmp_path):
         sc = flat_scenario(2)
         res = simulate_run(sc, "ewan", master_seed=11)

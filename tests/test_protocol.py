@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import pickle
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 import ewansim.campaign as campaign
 from ewansim.protocol.host import ScheduleBook
 from ewansim.energy import consume
-from ewansim.engine import RandomStreams, to_us
+from ewansim.engine import Draws, RandomStreams, to_us
+from ewansim.links import LinkMatrix
 from ewansim.protocol.params import ProtocolParams
 from ewansim.protocol.records import NodeRoundStats, RoundRecord
 from ewansim.protocol.run import (ProtocolRun, RunHooks, _FloodTransport,
@@ -436,7 +439,9 @@ class TestCarefulRound:
         acct.advance(rs, run.load_sleep)
         first = run._flood("sched", {0: 0}, frozenset({0, 1, 2}),
                            PARAMS.schedule_payload_mh)
-        li, tx, idl = first.radio_times(sched_span)[1]
+        costs = {1: [0.0, 0.0, 0.0]}
+        _FloodTransport._book(first, [1], costs, sched_span)
+        li, tx, idl = costs[1]
         eff = run.eparams.buck_efficiency
         target = 1.5 * (li * run.load_mh.listen[0] + tx * run.load_mh.tx[0]
                         + idl * run.eparams.p_idle) / eff
@@ -662,3 +667,27 @@ class TestSharedHarvestAcrossProtocols:
             ref = inflows["ewan"][n]
             assert inflows["single_hop"][n] == pytest.approx(ref, rel=1e-12)
             assert inflows["drb"][n] == pytest.approx(ref, rel=1e-12)
+
+
+def _lossy_mh_day():
+    """A one-day mh scenario with every decodable multi-hop link 1 dB above
+    sensitivity, inside the reception ramp, so every flood draws."""
+    sc = build_scenario("mh", 0.0, np.random.default_rng(7), days=1)
+    cfg = sc.vsn_configs.multi_hop
+    budget = cfg.tx_power_dbm - cfg.sensitivity_dbm
+    loss = sc.links_multi_hop.loss.copy()
+    loss[(loss <= budget) & ~np.eye(len(loss), dtype=bool)] = budget - 1.0
+    return replace(sc, links_multi_hop=LinkMatrix(n=len(loss), loss=loss))
+
+
+class TestReceptionDraws:
+    def test_block_size_leaves_a_lossy_run_unchanged(self, monkeypatch):
+        sc = _lossy_mh_day()
+        assert not sc.links_multi_hop.all_links_deterministic(
+            range(sc.n_nodes + 1), sc.vsn_configs.multi_hop)
+        runs = [pickle.dumps(simulate_run(sc, "ewan", 3))]
+        for block in (1, 3):
+            monkeypatch.setattr(Draws, "BLOCK", block)
+            runs.append(pickle.dumps(simulate_run(sc, "ewan", 3)))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]

@@ -172,6 +172,26 @@ class TestLinkModel:
         assert hi >= lo
 
 
+# around TestResolveConcurrent.SENS and its 2 dB ramp: the pool makes equal
+# powers within and across groups likely, and the range reaches far below
+# sensitivity and far above it
+TIE_DBM = (-130.0, -124.0, -123.0, -122.0, -100.0, -70.0)
+MEMBER_DBM = st.one_of(st.sampled_from(TIE_DBM), st.floats(-140.0, -60.0))
+
+
+@st.composite
+def capture_cases(draw):
+    """1-4 packet groups of 1-3 members each, in a drawn order."""
+    ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4,
+                        unique=True))
+    attempts = []
+    for pkt in ids:
+        for _ in range(draw(st.integers(1, 3))):
+            attempts.append(
+                ConcurrentAttempt(pkt, len(attempts), draw(MEMBER_DBM)))
+    return draw(st.permutations(attempts)), draw(st.integers(0, 2**32 - 1))
+
+
 class TestResolveConcurrent:
     SENS = -124.0
     RAMP = 2.0
@@ -244,6 +264,31 @@ class TestResolveConcurrent:
         ]
         for _ in range(100):
             assert resolve_concurrent(atts, self.SENS, self.RAMP, self.SIGMA, g) == 9
+
+    @given(case=capture_cases())
+    @example(case=([ConcurrentAttempt(2, 0, -70.0),
+                    ConcurrentAttempt(1, 1, -70.0)], 1))
+    @example(case=([ConcurrentAttempt(3, 0, -123.0),
+                    ConcurrentAttempt(1, 1, -123.0),
+                    ConcurrentAttempt(1, 2, -130.0),
+                    ConcurrentAttempt(2, 3, -140.0),
+                    ConcurrentAttempt(4, 4, -123.0)], 2))
+    @example(case=([ConcurrentAttempt(5, 0, -123.5),
+                    ConcurrentAttempt(5, 1, -123.5)], 3))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_reference_outcome_and_stream_state(self, case):
+        attempts, seed = case
+        plain = [tuple(a) for a in attempts]
+        g, g_plain, g_ref = (self.rng(seed) for _ in range(3))
+        for _ in range(4):  # a few draws deep into each stream
+            want = oracles.reference_resolve_concurrent(
+                attempts, self.SENS, self.RAMP, self.SIGMA, g_ref)
+            assert resolve_concurrent(
+                attempts, self.SENS, self.RAMP, self.SIGMA, g) == want
+            assert resolve_concurrent(
+                plain, self.SENS, self.RAMP, self.SIGMA, g_plain) == want
+        assert g.bit_generator.state == g_ref.bit_generator.state
+        assert g_plain.bit_generator.state == g_ref.bit_generator.state
 
     def test_many_groups_strongest_or_nothing(self):
         g = self.rng(6)
