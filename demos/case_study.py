@@ -37,12 +37,10 @@ def main() -> None:
         print(f"node {v} harvest ({avg_uw:5.1f} uW mean over the horizon)")
         print("  " + sparkline(tr.samples) + "\n")
 
-    res = simulate_run(sc, "ewan", 7)
-    delivered = res.delivered_by_node()
-    metrics = compute_all_metrics(res)
-    for v in sorted(delivered):
+    metrics = compute_all_metrics(simulate_run(sc, "ewan", 7))
+    for v in sorted(metrics):
         m = metrics[v]
-        print(f"node {v}: {delivered[v]} packets delivered, "
+        print(f"node {v}: {m.packets} packets delivered, "
               f"liveness {m.liveness:.2f}, "
               f"efficiency {m.efficiency:.0f} packets/J")
 

@@ -7,9 +7,10 @@ keeps the node off until stored energy surpasses a start threshold,
 sampling the storage on a fixed interval while off, and powers the node
 off again when storage empties.
 
-NodeAccount is the one energy model the simulator runs: it integrates a
-node's harvest trace against its activity and books every joule in the
-node's EnergyLedger.
+NodeAccount is the whole energy model the simulator runs: it holds the
+node's storage, integrates its harvest trace against its activity, draws
+fixed costs through the converter, and books every joule in its ledger
+of compensated sums.
 """
 from __future__ import annotations
 
@@ -24,18 +25,6 @@ from .engine import SimulationError
 # clock slack: an advance to within this many seconds of the clock books
 # nothing
 CLOCK_EPS_S = 1e-9
-
-
-@dataclass
-class EnergyStorage:
-    """Usable stored energy, clamped to [0, capacity_b]."""
-
-    e_cap: float
-    capacity_b: float = 0.7
-
-    def __post_init__(self):
-        if not 0.0 <= self.e_cap <= self.capacity_b:
-            raise ValueError("e_cap must lie in [0, capacity_b]")
 
 
 @dataclass(frozen=True)
@@ -89,122 +78,50 @@ class HarvestTrace:
         self.resolution_s = float(resolution_s)
 
 
+# the ledger's categories: energy drawn from storage (after the
+# buck-converter division) by activity
 LEDGER_CATEGORIES = ("tx", "listen", "idle", "sleep", "boot", "com_init")
-
-
-class _KahanSum:
-    """Compensated accumulator; keeps week-long ledgers exact to < 1 nJ."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, x: float):
-        y = x - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-
-class EnergyLedger:
-    """Per-node cumulative joules by category plus harvest bookkeeping.
-
-    Categories record energy drawn from storage (after the buck-converter
-    division); e_in records energy delivered to the storage input and
-    e_wasted the portion lost to the full-capacity clamp.
-    """
-
-    def __init__(self):
-        self._cats = {name: _KahanSum() for name in LEDGER_CATEGORIES}
-        self._e_in = _KahanSum()
-        self._e_wasted = _KahanSum()
-
-    def add_drawn(self, category: str, joules: float):
-        self._cats[category].add(joules)
-
-    def add_harvest(self, delivered: float, wasted: float):
-        self._e_in.add(delivered)
-        self._e_wasted.add(wasted)
-
-    @property
-    def e_in(self) -> float:
-        return self._e_in.total
-
-    @property
-    def e_wasted(self) -> float:
-        return self._e_wasted.total
-
-    def drawn(self, category: str) -> float:
-        return self._cats[category].total
-
-    @property
-    def total_drawn(self) -> float:
-        return math.fsum(k.total for k in self._cats.values())
-
-    def as_dict(self) -> dict[str, float]:
-        out = {name: acc.total for name, acc in self._cats.items()}
-        out["e_in"] = self.e_in
-        out["e_wasted"] = self.e_wasted
-        return out
-
-    def conservation_error(self, initial_e_cap: float,
-                           final_e_cap: float) -> float:
-        """e_in - (storage delta + total drawn + clamp waste); ~0 always."""
-        delta = final_e_cap - initial_e_cap
-        return self.e_in - (delta + self.total_drawn + self.e_wasted)
-
-
-def consume(
-    ledger: EnergyLedger,
-    storage: EnergyStorage,
-    category: str,
-    amount_at_load: float,
-    efficiency: float,
-) -> bool:
-    """Draw one activity's energy from storage through the converter.
-
-    Returns True when the draw empties the storage mid-activity, i.e. the
-    node powers off before completing whatever it was doing.
-    """
-    if amount_at_load < 0:
-        raise ValueError("amount_at_load must be >= 0")
-    if amount_at_load == 0:
-        return False
-    drawn_request = amount_at_load / efficiency
-    if drawn_request > storage.e_cap:
-        drawn = storage.e_cap
-        storage.e_cap = 0.0
-        ledger.add_drawn(category, drawn)
-        return True
-    storage.e_cap -= drawn_request
-    ledger.add_drawn(category, drawn_request)
-    return False
+# every compensated sum of a ledger, in the order ledger() lists them:
+# e_in is the energy delivered to the storage input and e_wasted the part
+# of it lost to the full-capacity clamp
+_LEDGER_KEYS = LEDGER_CATEGORIES + ("e_in", "e_wasted")
+# each category's position in NodeAccount._sums and _comps; e_in and
+# e_wasted follow at _E_IN and _E_WASTED, out of a category's reach
+_AT = {name: i for i, name in enumerate(LEDGER_CATEGORIES)}
+_E_IN, _E_WASTED = len(LEDGER_CATEGORIES), len(LEDGER_CATEGORIES) + 1
 
 
 class NodeAccount:
     """Energy state of one node: storage, harvest trace, ledger, clock.
 
-    The clock tracks the last instant energy was accounted for; every
-    advance integrates harvested and drawn power over the gap with a
-    single combined charge/discharge/clamp step per trace segment, which
-    keeps the conservation identity exact.
+    The storage holds e_cap joules in [0, capacity_b]. The ledger keeps
+    one compensated (Kahan) sum per key of _LEDGER_KEYS: the running
+    total in the list _sums and its compensation in _comps, both at the
+    key's position in _LEDGER_KEYS. That keeps week-long ledgers exact
+    to < 1 nJ. The clock tracks the last instant energy was accounted for;
+    every advance integrates harvested and drawn power over the gap with
+    a single combined charge/discharge/clamp step per trace segment,
+    which keeps the conservation identity exact.
     """
 
     __slots__ = (
-        "node", "storage", "params", "trace", "ledger",
-        "clock_s", "_res", "_samples", "_n", "_ceff", "_eff", "_nz_starts",
+        "node", "e_cap", "capacity_b", "params", "trace", "clock_s",
+        "_sums", "_comps", "_res", "_samples", "_n", "_ceff", "_eff",
+        "_nz_starts",
     )
 
-    def __init__(self, node: int, storage: EnergyStorage, params: EnergyParams,
-                 trace: HarvestTrace):
+    def __init__(self, node: int, e_cap: float, capacity_b: float,
+                 params: EnergyParams, trace: HarvestTrace):
+        if not 0.0 <= e_cap <= capacity_b:
+            raise ValueError("e_cap must lie in [0, capacity_b]")
         self.node = node
-        self.storage = storage
+        self.e_cap = e_cap
+        self.capacity_b = capacity_b
         self.params = params
         self.trace = trace
-        self.ledger = EnergyLedger()
         self.clock_s = 0.0
+        self._sums = [0.0] * len(_LEDGER_KEYS)
+        self._comps = [0.0] * len(_LEDGER_KEYS)
         self._res = trace.resolution_s
         # a view of the trace's own doubles: indexing yields a float and
         # the run keeps no per-node copy of the samples
@@ -231,20 +148,19 @@ class NodeAccount:
             self.clock_s = max(t, t1)
             return None
         p_draw = p_load / self._eff
-        e = self.storage.e_cap
-        cap = self.storage.capacity_b
+        e = self.e_cap
+        cap = self.capacity_b
         res = self._res
         samples = self._samples
         n = self._n
         ceff = self._ceff
-        # the ledger's compensated sums, updated inline below with exactly
-        # the adds of EnergyLedger.add_harvest then add_drawn, 0.0 included
-        ledger = self.ledger
-        s_in, s_waste, s_cat = (ledger._e_in, ledger._e_wasted,
-                                ledger._cats[category])
-        in_t, in_c = s_in.total, s_in.comp
-        w_t, w_c = s_waste.total, s_waste.comp
-        d_t, d_c = s_cat.total, s_cat.comp
+        # the ledger's compensated sums, added to inline below in the order
+        # e_in, e_wasted, category, once per segment, 0.0 included
+        sums, comps = self._sums, self._comps
+        c = _AT[category]
+        in_t, in_c = sums[_E_IN], comps[_E_IN]
+        w_t, w_c = sums[_E_WASTED], comps[_E_WASTED]
+        d_t, d_c = sums[c], comps[c]
         died = False
         while True:
             k = int(t / res)
@@ -291,10 +207,10 @@ class NodeAccount:
             t = end
             if t >= t1:
                 break
-        s_in.total, s_in.comp = in_t, in_c
-        s_waste.total, s_waste.comp = w_t, w_c
-        s_cat.total, s_cat.comp = d_t, d_c
-        self.storage.e_cap = e
+        sums[_E_IN], comps[_E_IN] = in_t, in_c
+        sums[_E_WASTED], comps[_E_WASTED] = w_t, w_c
+        sums[c], comps[c] = d_t, d_c
+        self.e_cap = e
         self.clock_s = t1
         return t1 if died else None
 
@@ -309,12 +225,12 @@ class NodeAccount:
         last sample instant before power returns and books nothing.
         """
         t0 = self.clock_s
-        if self.storage.e_cap > threshold:
+        if self.e_cap > threshold:
             return t0
         i = 0
         t = t0
         while True:
-            if self.storage.e_cap == 0.0:
+            if self.e_cap == 0.0:
                 # nothing can change until the trace delivers power again
                 t_power = self.next_power_time(t)
                 if t_power > t + step:
@@ -331,7 +247,7 @@ class NodeAccount:
                 return None
             self.integrate(nxt, p_load, category, False)
             t = nxt
-            if self.storage.e_cap > threshold:
+            if self.e_cap > threshold:
                 return t
 
     def advance(self, t1: float, load: tuple[float, str]) -> Optional[float]:
@@ -341,9 +257,28 @@ class NodeAccount:
         return self.integrate(t1, load[0], load[1], True)
 
     def spend(self, joules: float, category: str) -> bool:
-        """Draw a fixed cost of joules (load side) at the current instant;
-        returns True if it empties the storage."""
-        return consume(self.ledger, self.storage, category, joules, self._eff)
+        """Draw a fixed cost of joules (load side) through the converter at
+        the current instant; returns True if it empties the storage, i.e.
+        the node powers off before completing what it was doing."""
+        if joules < 0:
+            raise ValueError("joules must be >= 0")
+        if joules == 0:
+            return False
+        c = _AT[category]
+        drawn = joules / self._eff
+        died = drawn > self.e_cap
+        if died:
+            # only the energy that exists is drawn
+            drawn = self.e_cap
+            self.e_cap = 0.0
+        else:
+            self.e_cap -= drawn
+        total, comp = self._sums[c], self._comps[c]
+        y = drawn - comp
+        t = total + y
+        self._comps[c] = (t - total) - y
+        self._sums[c] = t
+        return died
 
     def next_power_time(self, t: float) -> float:
         """Earliest time >= t with nonzero harvested power (inf if none)."""
@@ -354,5 +289,27 @@ class NodeAccount:
         return float(arr[i]) if i < arr.size else float("inf")
 
     def drawn_snapshot(self) -> tuple[float, float, float]:
-        cats = self.ledger._cats
-        return (cats["tx"].total, cats["listen"].total, cats["idle"].total)
+        """Joules drawn so far for tx, listen and idle, the first three
+        categories."""
+        return tuple(self._sums[:3])
+
+    def drawn(self, category: str) -> float:
+        return self._sums[_AT[category]]
+
+    @property
+    def e_in(self) -> float:
+        return self._sums[_E_IN]
+
+    @property
+    def e_wasted(self) -> float:
+        return self._sums[_E_WASTED]
+
+    def ledger(self) -> dict[str, float]:
+        """Joules drawn per category, then e_in and e_wasted."""
+        return dict(zip(_LEDGER_KEYS, self._sums))
+
+    def conservation_error(self, initial_e_cap: float) -> float:
+        """e_in - (storage delta + total drawn + clamp waste); ~0 always."""
+        drawn = math.fsum(self._sums[:len(LEDGER_CATEGORIES)])
+        delta = self.e_cap - initial_e_cap
+        return self.e_in - (delta + drawn + self.e_wasted)

@@ -68,10 +68,6 @@ class FloodResult(NamedTuple):
     toa_s: float
     slot_s: float
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_slots * self.slot_s
-
 
 def simulate_flood(
     initiator: int,

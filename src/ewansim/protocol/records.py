@@ -36,9 +36,5 @@ class RoundRecord:
     round_start_s: float
     nodes: dict[int, NodeRoundStats] = field(default_factory=dict)
 
-    @property
-    def delivered_total(self) -> int:
-        return sum(s.packets_delivered for s in self.nodes.values())
-
     def participants(self) -> list[int]:
         return [n for n, s in self.nodes.items() if s.received_first_schedule]

@@ -42,7 +42,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from ..energy import CLOCK_EPS_S, EnergyStorage, HarvestTrace, NodeAccount
+from ..energy import CLOCK_EPS_S, HarvestTrace, NodeAccount
 from ..engine import (
     Draws,
     EventQueue,
@@ -57,6 +57,7 @@ from ..radio import (
     DEFAULT_CAPTURE_SIGMA_DB,
     DEFAULT_RAMP_DB,
     RadioConfig,
+    bernoulli,
     resolve_concurrent,
     time_on_air,
 )
@@ -245,7 +246,7 @@ class _FloodTransport:
         """Whether the host got owner's packet; None if a fragile owner
         cannot afford its own flood."""
         run = self.run
-        if (owner in acc.fragile and run.accounts[owner].storage.e_cap
+        if (owner in acc.fragile and run.accounts[owner].e_cap
                 <= run.mh_owner_tx_j):
             return None
         return self._slot("data", {owner: owner}, run.params.data_payload,
@@ -304,7 +305,7 @@ class _HostTransport:
         if not run.hooks.blocked(self.vsn, n, self.k):
             p = run.p_sh_link[n]
             for copy in range(1, lay.host_copies + 1):
-                if run._bern(p):
+                if bernoulli(run._rx, p):
                     got = True
                     listen_s = lay.schedule_listen_until_copy(copy)
                     break
@@ -320,7 +321,7 @@ class _HostTransport:
         """Send owner's packet to the host; whether the host got it."""
         run, lay, costs = self.run, self.layout, acc.costs
         got = (not run.hooks.blocked(self.vsn, owner, self.k)
-               and run._bern(run.p_sh_link[owner]))
+               and bernoulli(run._rx, run.p_sh_link[owner]))
         c = costs[owner]
         c[0] += lay.toa_data  # host repetition
         c[1] += lay.toa_data
@@ -378,13 +379,6 @@ class RunResult:
     final_storage_j: dict[int, float]
     conservation_j: dict[int, float]
 
-    def delivered_by_node(self) -> dict[int, int]:
-        out: dict[int, int] = defaultdict(int)
-        for rec in self.records:
-            for n, stats in rec.nodes.items():
-                out[n] += stats.packets_delivered
-        return dict(out)
-
 
 class ProtocolRun:
     """One protocol over one scenario, with one seeded stream set and one
@@ -435,9 +429,8 @@ class ProtocolRun:
         for n in self.nodes:
             if n not in traces:
                 raise ValueError(f"missing harvest trace for node {n}")
-            self.accounts[n] = NodeAccount(
-                n, EnergyStorage(initial_charge_j, capacity_b=storage_b),
-                eparams, traces[n])
+            self.accounts[n] = NodeAccount(n, initial_charge_j, storage_b,
+                                           eparams, traces[n])
 
         vsn_configs = scenario.vsn_configs
         self.cfg_boot = vsn_configs.bootstrap
@@ -551,7 +544,7 @@ class ProtocolRun:
         acct = self.accounts[node]
         if acct.clock_s < t - CLOCK_EPS_S:
             acct.integrate(t, self.eparams.p_boot, "boot", die=False)
-        if acct.storage.e_cap <= self.eparams.start_threshold:
+        if acct.e_cap <= self.eparams.start_threshold:
             # dipped back below threshold while waiting: keep charging
             self._rearm_scan(node)
             return
@@ -559,7 +552,7 @@ class ProtocolRun:
         self.active_since[node] = t
         died = (acct.spend(self.eparams.e_boot, "boot")
                 or acct.spend(self.eparams.e_com_init, "com_init"))
-        self._event(t, "power_on", node, acct.storage.e_cap)
+        self._event(t, "power_on", node, acct.e_cap)
         if died:
             self._kill(node, t)
             return
@@ -656,7 +649,7 @@ class ProtocolRun:
         if answered:
             got = self._host_capture(self.cfg_boot, [m for m, _ in survivors])
             self.host_busy_until = max(self.host_busy_until, exchange_end)
-            if got is not None and self._bern(self.p_boot_link[got]):
+            if got is not None and bernoulli(self._rx, self.p_boot_link[got]):
                 winner = got
         for m, tm in survivors:
             own_timeout = tm + self.toa_sync + SYNC_RESPONSE_DELAY_S + self.toa_sync
@@ -695,13 +688,6 @@ class ProtocolRun:
         return resolve_concurrent(attempts, cfg.sensitivity_dbm,
                                   DEFAULT_RAMP_DB, DEFAULT_CAPTURE_SIGMA_DB,
                                   self._rx)
-
-    def _bern(self, p: float) -> bool:
-        if p >= 1.0:
-            return True
-        if p <= 0.0:
-            return False
-        return self._rx.random() < p
 
     # ------------------------------------------------------------------
     # flood plumbing
@@ -814,7 +800,7 @@ class ProtocolRun:
                         self.wait_sh[k].append((n, "mh_exit", -1))
                 elif st.vsn is Vsn.BOOTSTRAPPING:
                     self._enter_bootstrap(n, leave_t)
-        acc.fragile = {n for n in alive if self.accounts[n].storage.e_cap
+        acc.fragile = {n for n in alive if self.accounts[n].e_cap
                        < tp.fragile_j}
         # leavers are done after the first schedule slot
         for n in leavers:
@@ -885,17 +871,15 @@ class ProtocolRun:
             start = self.active_since.pop(n, None)
             if start is not None:
                 self.active_intervals[n].append((start, horizon))
-            final_storage[n] = acct.storage.e_cap
-            conservation[n] = acct.ledger.conservation_error(
-                self.initial_charge_j, acct.storage.e_cap)
+            final_storage[n] = acct.e_cap
+            conservation[n] = acct.conservation_error(self.initial_charge_j)
         return RunResult(
             protocol=self.protocol,
             horizon_s=horizon,
             n_nodes=self.n_nodes,
             params=self.params,
             records=self.records,
-            ledgers={n: self.accounts[n].ledger.as_dict()
-                     for n in self.nodes},
+            ledgers={n: self.accounts[n].ledger() for n in self.nodes},
             active_intervals={n: list(v)
                               for n, v in self.active_intervals.items()},
             events=self.events,

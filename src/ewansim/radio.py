@@ -142,10 +142,6 @@ def time_on_air(config: RadioConfig, payload_bytes: int) -> float:
     return preamble + payload_symbols * t_sym
 
 
-def received_power(tx_power_dbm: float, loss_db: float) -> float:
-    return tx_power_dbm - loss_db
-
-
 def reception_probability(
     rx_power_dbm: float, sensitivity_dbm: float, ramp_width_db: float = DEFAULT_RAMP_DB
 ) -> float:
@@ -221,7 +217,7 @@ def resolve_concurrent(
         strong_mw = ranked[0][0]
         rest_mw = sum([mw for mw, _, _ in ranked[1:]])
         delta_db = 10.0 * math.log10(strong_mw) - 10.0 * math.log10(rest_mw)
-        captured = _bernoulli(normal_cdf(delta_db / capture_sigma_db), stream)
+        captured = bernoulli(stream, normal_cdf(delta_db / capture_sigma_db))
         if captured:
             _, winner_id, best_dbm = ranked[0]
         elif len(ranked) == 2:
@@ -229,10 +225,12 @@ def resolve_concurrent(
         else:
             return None
     p = reception_probability(best_dbm, sensitivity_dbm, ramp_width_db)
-    return winner_id if _bernoulli(p, stream) else None
+    return winner_id if bernoulli(stream, p) else None
 
 
-def _bernoulli(p: float, stream) -> bool:
+def bernoulli(stream, p: float) -> bool:
+    """True with probability p; draws one stream.random() only when
+    0 < p < 1."""
     if p <= 0.0:
         return False
     if p >= 1.0:

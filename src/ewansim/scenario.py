@@ -14,14 +14,14 @@ import math
 import os
 from collections import deque
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
 
 from .energy import EnergyParams, HarvestTrace
 from .links import LinkMatrix
-from .radio import DEFAULT_RAMP_DB, RadioConfig
+from .radio import DEFAULT_RAMP_DB, RadioConfig, normal_cdf
 from .protocol.params import ProtocolParams, VsnConfigs, default_vsn_configs
 from .protocol.rounds import MhRoundLayout, ShRoundLayout
 
@@ -87,8 +87,15 @@ class TraceGenParams:
             raise ScenarioError("noise_sigma must be non-negative")
 
 
-def _phi(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+def _day_at(gen: TraceGenParams, u) -> Tuple[float, float, float]:
+    """The (e_avg_j, start_s, end_s) of a day at quantiles u[0..2] of the
+    recipe's daily-energy, start-window and end-window ranges."""
+    e_lo, e_hi = gen.e_avg_range_j
+    s_lo, s_hi = gen.start_window_h
+    t_lo, t_hi = gen.end_window_h
+    return (e_lo + (e_hi - e_lo) * u[0],
+            (s_lo + (s_hi - s_lo) * u[1]) * HOUR_S,
+            (t_lo + (t_hi - t_lo) * u[2]) * HOUR_S)
 
 
 def _copula_day(gen: TraceGenParams, n_nodes: int,
@@ -100,14 +107,9 @@ def _copula_day(gen: TraceGenParams, n_nodes: int,
     triples = []
     for _ in range(n_nodes):
         z_own = stream.standard_normal(3)
-        u = [_phi(w_common * z_common[k] + w_own * z_own[k]) for k in range(3)]
-        e_lo, e_hi = gen.e_avg_range_j
-        s_lo, s_hi = gen.start_window_h
-        t_lo, t_hi = gen.end_window_h
-        e_avg = e_lo + (e_hi - e_lo) * u[0]
-        start_s = (s_lo + (s_hi - s_lo) * u[1]) * HOUR_S
-        end_s = (t_lo + (t_hi - t_lo) * u[2]) * HOUR_S
-        triples.append((e_avg, start_s, end_s))
+        triples.append(_day_at(gen, [
+            normal_cdf(w_common * z_common[k] + w_own * z_own[k])
+            for k in range(3)]))
     return triples
 
 
@@ -159,13 +161,7 @@ def special_mh_traces(gen: TraceGenParams, depths: Mapping[int, int],
     arrays = {n: np.zeros(gen.days * per_day) for n in nodes}
     ext_s = gen.deep_window_extension_h * HOUR_S
     for day in range(gen.days):
-        u = stream.uniform(0.0, 1.0, 3)
-        e_lo, e_hi = gen.e_avg_range_j
-        s_lo, s_hi = gen.start_window_h
-        t_lo, t_hi = gen.end_window_h
-        e_near = e_lo + (e_hi - e_lo) * u[0]
-        start_s = (s_lo + (s_hi - s_lo) * u[1]) * HOUR_S
-        end_s = (t_lo + (t_hi - t_lo) * u[2]) * HOUR_S
+        e_near, start_s, end_s = _day_at(gen, stream.uniform(0.0, 1.0, 3))
         for n in nodes:
             factors = _noise_factors(gen, stream)
             if depths[n] <= 1:
@@ -279,30 +275,23 @@ def generate_topology(kind: str, stream: np.random.Generator) -> Topology:
     return Topology(LinkMatrix(n, short), LinkMatrix(n, long_range), bottleneck)
 
 
-def _short_edges(links: LinkMatrix, config: RadioConfig) -> List[List[int]]:
-    budget = config.tx_power_dbm - config.sensitivity_dbm
-    n = links.n
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if links.loss_db(i, j) <= budget:
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
+def hop_depths(links: LinkMatrix, config: RadioConfig,
+               blocked: Collection[int] = ()) -> Dict[int, int]:
+    """BFS hop distance from the host over decodable short-range links
+    that avoid the blocked nodes.
 
-
-def hop_depths(links: LinkMatrix, config: RadioConfig) -> Dict[int, int]:
-    """BFS hop distance from the host over decodable short-range links.
-
-    Unreachable nodes get depth -1.
+    Unreachable nodes, the blocked ones included, get depth -1.
     """
-    adj = _short_edges(links, config)
+    budget = config.tx_power_dbm - config.sensitivity_dbm
+    # the upper triangle decides: a loaded matrix is symmetric only to 1e-9
+    loss = links.loss_db
     depth = {0: 0}
     queue = deque([0])
     while queue:
         u = queue.popleft()
-        for v in adj[u]:
-            if v not in depth:
+        for v in range(links.n):
+            if (v not in depth and v not in blocked
+                    and loss(min(u, v), max(u, v)) <= budget):
                 depth[v] = depth[u] + 1
                 queue.append(v)
     return {v: depth.get(v, -1) for v in range(1, links.n)}
@@ -359,6 +348,9 @@ def verify_scenario(scenario: Scenario) -> List[str]:
         out.append(f"initial_charge_j must lie in [0, {cap}], got "
                    f"{scenario.initial_charge_j}")
     n = scenario.n_nodes
+    if n < 1:
+        out.append(f"n_nodes must be at least 1, got {n}")
+        return out
     if scenario.links_multi_hop.n != n + 1 or scenario.links_single_hop.n != n + 1:
         out.append(f"link matrices must be {n + 1}x{n + 1} including the host")
         return out
@@ -389,22 +381,14 @@ def verify_scenario(scenario: Scenario) -> List[str]:
         if scenario.bottleneck is None:
             out.append("bn contract: bottleneck node pair not designated")
         else:
-            adj = _short_edges(scenario.links_multi_hop,
-                               scenario.vsn_configs.multi_hop)
-            if sorted(adj[0]) != sorted(scenario.bottleneck):
+            near = sorted(v for v, d in depths.items() if d == 1)
+            if near != sorted(scenario.bottleneck):
                 out.append(
-                    f"bn contract: host neighbors {sorted(adj[0])} are not the "
+                    f"bn contract: host neighbors {near} are not the "
                     f"designated bottleneck pair {sorted(scenario.bottleneck)}")
-            blocked = set(scenario.bottleneck)
-            seen = {0}
-            queue = deque([0])
-            while queue:
-                u = queue.popleft()
-                for v in adj[u]:
-                    if v not in blocked and v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-            extra = seen - {0}
+            extra = [v for v, d in hop_depths(
+                scenario.links_multi_hop, scenario.vsn_configs.multi_hop,
+                blocked=set(scenario.bottleneck)).items() if d >= 0]
             if extra:
                 out.append(
                     f"bn contract: removing the bottleneck pair leaves "
@@ -430,6 +414,10 @@ def verify_scenario(scenario: Scenario) -> List[str]:
                    "the next multi-hop round start")
 
     if scenario.traces is not None:
+        extra = sorted(v for v in scenario.traces if v not in range(1, n + 1))
+        if extra:
+            out.append(f"harvesting traces for nodes {extra} outside the "
+                       f"scenario's nodes 1..{n}")
         for v in range(1, n + 1):
             if v not in scenario.traces:
                 out.append(f"missing harvesting trace for node {v}")
@@ -556,11 +544,20 @@ def _from_dict(cls, d: dict):
                   for k, v in dict(d).items()})
 
 
-# the top-level keys save_scenario writes; load_scenario rejects any other
+# the top-level keys and VSN radio keys save_scenario writes; load_scenario
+# rejects any other
 _SCENARIO_KEYS = frozenset((
     "format", "kind", "n_nodes", "horizon_s", "storage_capacity_j",
     "initial_charge_j", "params", "energy", "radio", "links_multi_hop",
     "links_single_hop", "bottleneck", "trace_gen", "traces"))
+_VSN_KEYS = ("bootstrap", "single_hop", "multi_hop")
+
+
+def _reject_unknown(path: str, what: str, doc: dict, known):
+    unknown = sorted(str(key) for key in doc if key not in known)
+    if unknown:
+        raise ScenarioError(f"{path}: unknown {what} keys: "
+                            f"{', '.join(unknown)}")
 
 
 def save_scenario(scenario: Scenario, out_dir: str) -> str:
@@ -660,10 +657,8 @@ def load_scenario(path: str) -> Scenario:
         if type(fmt) is not int or fmt != 1:
             raise ScenarioError(f"{path}: scenario format {fmt} is not "
                                 f"supported; this version reads format 1")
-        unknown = sorted(str(key) for key in doc if key not in _SCENARIO_KEYS)
-        if unknown:
-            raise ScenarioError(f"{path}: unknown top-level keys: "
-                                f"{', '.join(unknown)}")
+        _reject_unknown(path, "top-level", doc, _SCENARIO_KEYS)
+        _reject_unknown(path, "radio", doc["radio"], _VSN_KEYS)
         n_nodes = int(doc["n_nodes"])
         short = np.asarray(doc["links_multi_hop"], dtype=float)
         long_range = np.asarray(doc["links_single_hop"], dtype=float)
@@ -685,8 +680,7 @@ def load_scenario(path: str) -> Scenario:
             links_single_hop=LinkMatrix(n_nodes + 1, long_range),
             params=ProtocolParams(**doc["params"]),
             vsn_configs=VsnConfigs(**{
-                vsn: RadioConfig(**doc["radio"][vsn])
-                for vsn in ("bootstrap", "single_hop", "multi_hop")}),
+                vsn: RadioConfig(**doc["radio"][vsn]) for vsn in _VSN_KEYS}),
             energy_params=EnergyParams(**doc["energy"]),
             horizon_s=float(doc["horizon_s"]),
             storage_capacity_j=float(doc["storage_capacity_j"]),

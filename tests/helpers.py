@@ -1,6 +1,8 @@
 """Small scenario builders shared across test modules."""
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
 from ewansim.energy import EnergyParams, HarvestTrace
@@ -34,6 +36,21 @@ def flat_scenario(n_nodes: int, loss_db: float = 60.0,
         initial_charge_j=0.7,
         traces=traces,
     )
+
+
+def delivered_total(record) -> int:
+    """Packets the host got in one round."""
+    return sum(s.packets_delivered for s in record.nodes.values())
+
+
+def delivered_by_node(result) -> dict[int, int]:
+    """Packets the host got from each node that ever took part in a round,
+    summed over a run's round records."""
+    out: dict[int, int] = defaultdict(int)
+    for rec in result.records:
+        for n, stats in rec.nodes.items():
+            out[n] += stats.packets_delivered
+    return dict(out)
 
 
 def mh_records(result):

@@ -10,7 +10,9 @@ resolves every listener in every sub-slot through
 ``reference_resolve_concurrent``, the capture rule as first written (a
 closure per helper, every group's power recomputed where it is used);
 ``reference_integrate`` is the energy kernel's segment walk booking every
-step through the ``EnergyLedger`` methods.
+step through the ledger methods as first written, on ``_KahanSum``
+accumulators, and ``reference_consume`` is the fixed-cost draw as first
+written, a function over a ledger and a storage.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ewansim.energy import _AT, _E_IN, _E_WASTED
 from ewansim.flood import FLOOD_GUARD_S, FloodNodeResult, FloodResult
 from ewansim.radio import ConcurrentAttempt, reception_probability, time_on_air
 
@@ -212,20 +215,78 @@ def brute_force_flood_slots(
     return first_slot
 
 
+class _KahanSum:
+    """Compensated accumulator; keeps week-long ledgers exact to < 1 nJ."""
+
+    __slots__ = ("total", "comp")
+
+    def __init__(self):
+        self.total = 0.0
+        self.comp = 0.0
+
+    def add(self, x: float):
+        y = x - self.comp
+        t = self.total + y
+        self.comp = (t - self.total) - y
+        self.total = t
+
+
+class AccountLedger:
+    """The ledger's add_harvest and add_drawn, made through a _KahanSum on
+    a NodeAccount's compensated sums."""
+
+    def __init__(self, acct):
+        self.acct = acct
+
+    def _add(self, i, x):
+        acc = _KahanSum()
+        acc.total, acc.comp = self.acct._sums[i], self.acct._comps[i]
+        acc.add(x)
+        self.acct._sums[i], self.acct._comps[i] = acc.total, acc.comp
+
+    def add_harvest(self, delivered, wasted):
+        self._add(_E_IN, delivered)
+        self._add(_E_WASTED, wasted)
+
+    def add_drawn(self, category, joules):
+        self._add(_AT[category], joules)
+
+
+def reference_consume(ledger, storage, category, amount_at_load, efficiency):
+    """Draw one activity's energy from storage through the converter.
+
+    Returns True when the draw empties the storage mid-activity, i.e. the
+    node powers off before completing whatever it was doing.
+    """
+    if amount_at_load < 0:
+        raise ValueError("amount_at_load must be >= 0")
+    if amount_at_load == 0:
+        return False
+    drawn_request = amount_at_load / efficiency
+    if drawn_request > storage.e_cap:
+        drawn = storage.e_cap
+        storage.e_cap = 0.0
+        ledger.add_drawn(category, drawn)
+        return True
+    storage.e_cap -= drawn_request
+    ledger.add_drawn(category, drawn_request)
+    return False
+
+
 def reference_integrate(acct, t1, p_load, category, die):
     """``NodeAccount.integrate`` on ``acct``, every compensated add made by
-    ``EnergyLedger.add_harvest`` then ``add_drawn``."""
+    ``AccountLedger.add_harvest`` then ``add_drawn``."""
     t = acct.clock_s
     if t1 <= t + 1e-9:
         acct.clock_s = max(t, t1)
         return None
     p_draw = p_load / acct.params.buck_efficiency
-    e = acct.storage.e_cap
-    cap = acct.storage.capacity_b
+    e = acct.e_cap
+    cap = acct.capacity_b
     res = acct.trace.resolution_s
     samples = [float(x) for x in acct.trace.samples]
     ceff = acct.params.charge_efficiency
-    ledger = acct.ledger
+    ledger = AccountLedger(acct)
     while True:
         k = int(t / res)
         seg_end = (k + 1) * res
@@ -245,7 +306,7 @@ def reference_integrate(acct, t1, p_load, category, die):
                     h_partial = p_in * tau
                     ledger.add_harvest(h_partial, 0.0)
                     ledger.add_drawn(category, e + h_partial)
-                    acct.storage.e_cap = 0.0
+                    acct.e_cap = 0.0
                     acct.clock_s = t + tau
                     return acct.clock_s
                 ledger.add_harvest(h, 0.0)
@@ -263,7 +324,7 @@ def reference_integrate(acct, t1, p_load, category, die):
         t = end
         if t >= t1:
             break
-    acct.storage.e_cap = e
+    acct.e_cap = e
     acct.clock_s = t1
     return None
 

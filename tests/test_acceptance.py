@@ -15,16 +15,12 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import flat_scenario, mh_records, sh_records, transitions
+from helpers import (delivered_by_node, flat_scenario, mh_records,
+                     sh_records, transitions)
 
 from ewansim.campaign import run_campaign
 from ewansim.cli import main
-from ewansim.energy import (
-    EnergyParams,
-    EnergyStorage,
-    HarvestTrace,
-    NodeAccount,
-)
+from ewansim.energy import EnergyParams, HarvestTrace, NodeAccount
 from ewansim.engine import RandomStreams
 from ewansim.flood import simulate_flood
 from ewansim.links import LinkMatrix
@@ -345,11 +341,10 @@ def test_criterion_05_energy_arithmetic_and_week_long_conservation():
     """Spot joule arithmetic is exact and a 7-day run conserves energy to
     within 1 nJ per node with storage inside [0, capacity]."""
     params = EnergyParams()
-    acct = NodeAccount(1, EnergyStorage(e_cap=0.5), params,
-                       HarvestTrace([0.0], 1000.0))
+    acct = NodeAccount(1, 0.5, 0.7, params, HarvestTrace([0.0], 1000.0))
     assert acct.advance(1000.0, (params.p_sleep, "sleep")) is None
-    assert acct.ledger.drawn("sleep") == pytest.approx(0.02981, abs=5e-6)
-    assert acct.storage.e_cap == pytest.approx(0.47019, abs=5e-6)
+    assert acct.drawn("sleep") == pytest.approx(0.02981, abs=5e-6)
+    assert acct.e_cap == pytest.approx(0.47019, abs=5e-6)
     # a node powered on at t=0 pays each fixed cost once, through the
     # buck converter
     led = simulate_run(flat_scenario(1, horizon_s=60.0), "ewan", 1).ledgers[1]
@@ -540,7 +535,7 @@ def test_criterion_12_case_study_delivery_counts():
     per-node delivered counts over its 12 hour horizon."""
     sc = case_study_scenario()
     res = simulate_run(sc, "ewan", 7)
-    got = res.delivered_by_node()
+    got = delivered_by_node(res)
     targets = {1: 134, 2: 128}
     for v, want in targets.items():
         assert 0.85 * want <= got.get(v, 0) <= 1.15 * want, (v, got)

@@ -403,3 +403,32 @@ class TestVerifyCommand:
         assert code == 1
         assert err.startswith("error:")
         assert "traces must map node ids" in err
+
+    # faults in a saved case-study scenario that verify once passed, or
+    # reported without naming the field
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(n_nodes=0, kind="fh", links_multi_hop=[[0.0]],
+                                links_single_hop=[[0.0]]),
+         "n_nodes must be at least 1, got 0"),
+        (lambda doc: doc["radio"].update(multihop=doc["radio"]["multi_hop"]),
+         "unknown radio keys: multihop"),
+        (lambda doc: doc["traces"].update({7: doc["traces"][1]}),
+         "harvesting traces for nodes [7] outside the scenario's nodes 1..2"),
+    ], ids=["no-nodes", "stray-vsn", "stray-trace"])
+    def test_case_study_fault_is_a_named_error_line(self, tmp_path, capsys,
+                                                    edit, message):
+        path = gen(tmp_path, "case", "--kind", "case-study")
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+        edit(doc)
+        with open(path, "w") as fh:
+            yaml.safe_dump(doc, fh, sort_keys=True)
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert message in str(exc.value)
+        capsys.readouterr()
+        code = main(["verify", "--scenario", path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert message in err

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewansim.energy import (
-    EnergyLedger,
+    LEDGER_CATEGORIES,
     EnergyParams,
-    EnergyStorage,
     HarvestTrace,
     NodeAccount,
-    consume,
 )
 from ewansim.engine import RandomStreams
 from ewansim.protocol.run import ProtocolRun, simulate_run
@@ -26,7 +24,7 @@ PARAMS = EnergyParams()
 
 def account(samples, e0=0.35, capacity_b=0.7, params=PARAMS,
             resolution_s=60.0) -> NodeAccount:
-    return NodeAccount(1, EnergyStorage(e0, capacity_b=capacity_b), params,
+    return NodeAccount(1, e0, capacity_b, params,
                        HarvestTrace(samples, resolution_s))
 
 
@@ -36,17 +34,17 @@ class TestStepStorage:
     def test_upper_clamp(self):
         acct = account(np.full(10, 1e-2), e0=0.6)
         assert acct.integrate(60.0, 0.0, "sleep", True) is None
-        assert acct.storage.e_cap == 0.7
-        assert acct.ledger.e_wasted == pytest.approx(0.6 + 0.6 - 0.7)
+        assert acct.e_cap == 0.7
+        assert acct.e_wasted == pytest.approx(0.6 + 0.6 - 0.7)
 
     def test_lower_clamp(self):
         # die=False is the off-state monitor: it clamps at zero and the
         # clock keeps moving
         acct = account(np.zeros(10), e0=0.1)
         assert acct.integrate(60.0, 0.9e-2, "boot", False) is None
-        assert acct.storage.e_cap == 0.0
+        assert acct.e_cap == 0.0
         assert acct.clock_s == 60.0
-        assert acct.ledger.drawn("boot") == pytest.approx(0.1)
+        assert acct.drawn("boot") == pytest.approx(0.1)
 
     def test_empty_store_returns_the_death_time(self):
         # 0.1 J against a 10 mW draw and 2 mW harvest empties at 12.5 s
@@ -54,13 +52,13 @@ class TestStepStorage:
         died = acct.integrate(60.0, 0.9e-2, "tx", True)
         assert died == pytest.approx(12.5)
         assert acct.clock_s == died
-        assert acct.storage.e_cap == 0.0
-        assert acct.ledger.drawn("tx") == pytest.approx(0.1 + 2e-3 * 12.5)
+        assert acct.e_cap == 0.0
+        assert acct.drawn("tx") == pytest.approx(0.1 + 2e-3 * 12.5)
 
     def test_interior(self):
         acct = account(np.full(10, 1e-3), e0=0.2)
         assert acct.integrate(60.0, 0.9 * 5e-4, "idle", True) is None
-        assert acct.storage.e_cap == pytest.approx(0.2 + 0.06 - 0.03)
+        assert acct.e_cap == pytest.approx(0.2 + 0.06 - 0.03)
 
     @given(
         e=st.floats(min_value=0, max_value=0.7),
@@ -73,7 +71,7 @@ class TestStepStorage:
     def test_result_always_in_bounds(self, e, p_in, p_load, gap, die):
         acct = account([p_in, p_in / 2, 0.0, p_in], e0=e)
         acct.integrate(gap, p_load, "tx", die)
-        assert 0.0 <= acct.storage.e_cap <= 0.7
+        assert 0.0 <= acct.e_cap <= 0.7
 
 
 class TestHarvestTrace:
@@ -82,39 +80,39 @@ class TestHarvestTrace:
     def test_constant_trace_integral(self):
         acct = account(np.full(10, 1e-3))
         acct.integrate(100.0, 0.0, "sleep", True)
-        assert acct.ledger.e_in == pytest.approx(0.1)
+        assert acct.e_in == pytest.approx(0.1)
 
     def test_empty_interval(self):
         acct = account(np.full(10, 1e-3))
         acct.integrate(42.0, 0.0, "sleep", True)
-        before = acct.ledger.e_in
+        before = acct.e_in
         assert acct.integrate(42.0, 0.0, "sleep", True) is None
-        assert acct.ledger.e_in == before
+        assert acct.e_in == before
         assert acct.clock_s == 42.0
 
     def test_zero_trace_any_window(self):
         acct = account(np.zeros(100))
         acct.integrate(6000.0, 0.0, "sleep", True)
-        assert acct.ledger.e_in == 0.0
+        assert acct.e_in == 0.0
 
     def test_charge_efficiency_scales(self):
         acct = account(np.full(10, 1e-3),
                        params=EnergyParams(charge_efficiency=0.85))
         acct.integrate(100.0, 0.0, "sleep", True)
-        assert acct.ledger.e_in == pytest.approx(0.085)
+        assert acct.e_in == pytest.approx(0.085)
 
     def test_no_harvest_beyond_the_span(self):
         acct = account(np.full(10, 1e-3))
         acct.integrate(1000.0, 0.0, "sleep", True)
-        assert acct.ledger.e_in == pytest.approx(0.6)
+        assert acct.e_in == pytest.approx(0.6)
 
     def test_piecewise_constant_partial_samples(self):
         acct = account([1e-3, 3e-3])
         acct.integrate(30.0, 0.0, "sleep", True)
-        before = acct.ledger.e_in
+        before = acct.e_in
         # 30 s of the first sample, 30 s of the second
         acct.integrate(90.0, 0.0, "sleep", True)
-        assert acct.ledger.e_in - before == pytest.approx(
+        assert acct.e_in - before == pytest.approx(
             1e-3 * 30 + 3e-3 * 30
         )
 
@@ -125,10 +123,10 @@ class TestHarvestTrace:
         whole.integrate(123 * 60.0, 0.0, "sleep", True)
         steps = account(samples, e0=0.0, capacity_b=1e3)
         steps.integrate(30.0, 0.0, "sleep", True)
-        assert steps.ledger.e_in == pytest.approx(samples[0] * 30.0)
+        assert steps.e_in == pytest.approx(samples[0] * 30.0)
         for k in range(2, 247):
             steps.integrate(k * 30.0, 0.0, "sleep", True)
-        assert steps.ledger.e_in == pytest.approx(whole.ledger.e_in,
+        assert steps.e_in == pytest.approx(whole.e_in,
                                                   rel=1e-12)
 
     def test_negative_samples_rejected(self):
@@ -141,32 +139,57 @@ class TestHarvestTrace:
             HarvestTrace([1e-3, bad], resolution_s=60.0)
 
 
-class TestConsume:
+class TestSpend:
+    """NodeAccount.spend: a fixed cost drawn through the 0.9 converter."""
+
     def test_sleep_thousand_seconds(self):
-        led = EnergyLedger()
-        sto = EnergyStorage(e_cap=0.5)
+        acct = account(np.zeros(10), e0=0.5)
         at_load = PARAMS.p_sleep * 1000.0
-        died = consume(led, sto, "sleep", at_load, 0.9)
+        died = acct.spend(at_load, "sleep")
         assert not died
-        assert led.drawn("sleep") == pytest.approx(0.02981, abs=5e-6)
-        assert sto.e_cap == pytest.approx(0.47019, abs=5e-6)
+        assert acct.drawn("sleep") == pytest.approx(0.02981, abs=5e-6)
+        assert acct.e_cap == pytest.approx(0.47019, abs=5e-6)
 
     def test_com_init_exceeding_storage_kills(self):
-        led = EnergyLedger()
-        sto = EnergyStorage(e_cap=0.010)
+        acct = account(np.zeros(10), e0=0.010)
         at_load = PARAMS.e_com_init
-        died = consume(led, sto, "com_init", at_load, 0.9)
+        died = acct.spend(at_load, "com_init")
         assert died
-        assert sto.e_cap == 0.0
+        assert acct.e_cap == 0.0
         # only the energy that existed was drawn
-        assert led.drawn("com_init") == pytest.approx(0.010)
+        assert acct.drawn("com_init") == pytest.approx(0.010)
 
     def test_zero_amount_is_noop(self):
-        led = EnergyLedger()
-        sto = EnergyStorage(e_cap=0.3)
-        assert not consume(led, sto, "idle", 0.0, 0.9)
-        assert sto.e_cap == 0.3
-        assert led.total_drawn == 0.0
+        acct = account(np.zeros(10), e0=0.3)
+        assert not acct.spend(0.0, "idle")
+        assert acct.e_cap == 0.3
+        assert all(acct.drawn(c) == 0.0 for c in LEDGER_CATEGORIES)
+
+    def test_negative_amount_rejected(self):
+        acct = account(np.zeros(10), e0=0.3)
+        with pytest.raises(ValueError):
+            acct.spend(-1e-3, "tx")
+        assert acct.e_cap == 0.3
+
+    @given(
+        e0=st.floats(min_value=0.0, max_value=0.1),
+        draws=st.lists(st.tuples(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.05),
+                      st.sampled_from([PARAMS.e_boot, PARAMS.e_com_init])),
+            st.sampled_from(LEDGER_CATEGORIES),
+        ), max_size=30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_consume_bit_for_bit(self, e0, draws):
+        got, ref = (account(np.zeros(4), e0=e0, capacity_b=0.1)
+                    for _ in range(2))
+        for joules, category in draws:
+            died = got.spend(joules, category)
+            want = oracles.reference_consume(
+                oracles.AccountLedger(ref), ref, category, joules,
+                PARAMS.buck_efficiency)
+            assert died == want
+            assert _ledger_state(got) == _ledger_state(ref)
 
 
 def _one_node_run(initial_j, harvest_w=0.0, horizon_s=1800.0):
@@ -223,13 +246,13 @@ class TestPerActivityEnergy:
         run = _unstarted_run()
         acct = run.accounts[1]
         assert acct.advance(1.0, run.load_idle) is None
-        assert acct.ledger.drawn("idle") * 0.9 == pytest.approx(10.516e-3)
+        assert acct.drawn("idle") * 0.9 == pytest.approx(10.516e-3)
 
     def test_sleep_one_second(self):
         run = _unstarted_run()
         acct = run.accounts[1]
         assert acct.advance(1.0, run.load_sleep) is None
-        assert acct.ledger.drawn("sleep") * 0.9 == pytest.approx(26.831e-6)
+        assert acct.drawn("sleep") * 0.9 == pytest.approx(26.831e-6)
 
     def test_zero_toa_tx(self):
         run = _unstarted_run()
@@ -237,7 +260,7 @@ class TestPerActivityEnergy:
         # +14 dBm on the multi-hop channel
         assert run.load_mh.tx == (0.090, "tx")
         assert acct.advance(0.0, run.load_mh.tx) is None
-        assert acct.ledger.drawn("tx") == 0.0
+        assert acct.drawn("tx") == 0.0
 
     def test_boot_wait_uses_boot_power(self):
         # below the start threshold the node waits off for the 30 s horizon
@@ -255,7 +278,7 @@ class TestPerActivityEnergy:
         run = _unstarted_run()
         acct = run.accounts[1]
         assert acct.advance(2.0, run.load_mh.listen) is None
-        assert acct.ledger.drawn("listen") * 0.9 == pytest.approx(2 * 0.0164)
+        assert acct.drawn("listen") * 0.9 == pytest.approx(2 * 0.0164)
 
 
 class TestLedgerConservation:
@@ -272,36 +295,43 @@ class TestLedgerConservation:
                                0.09, "tx", True)
             acct.integrate((k + 1) * 30.0, PARAMS.p_sleep, "sleep", False)
         assert acct.clock_s == 7 * 24 * 3600.0
-        assert abs(acct.ledger.conservation_error(0.3, acct.storage.e_cap)) \
-            < 1e-9
+        assert abs(acct.conservation_error(0.3)) < 1e-9
 
     def test_waste_recorded_on_overflow(self):
         acct = account(np.full(10, 1e-3), e0=0.65)
         acct.integrate(100.0, 0.0, "sleep", True)
-        assert acct.storage.e_cap == 0.7
-        assert acct.ledger.e_wasted == pytest.approx(0.05)
-        assert acct.ledger.e_in == pytest.approx(0.1)
-        assert abs(acct.ledger.conservation_error(0.65, acct.storage.e_cap)) \
-            < 1e-15
+        assert acct.e_cap == 0.7
+        assert acct.e_wasted == pytest.approx(0.05)
+        assert acct.e_in == pytest.approx(0.1)
+        assert abs(acct.conservation_error(0.65)) < 1e-15
 
     @given(
         samples=st.lists(st.floats(min_value=0, max_value=2e-2),
                          min_size=1, max_size=12),
-        ops=st.lists(st.tuples(
-            st.floats(min_value=0, max_value=120.0),
-            st.sampled_from([0.0, PARAMS.p_sleep, PARAMS.p_idle, 0.09]),
-            st.sampled_from(["tx", "sleep", "idle"]),
-            st.booleans(),
+        # an integrate op is (gap, load, category, die); a spend op is
+        # (joules, category), a fixed cost that may empty the store
+        ops=st.lists(st.one_of(
+            st.tuples(
+                st.floats(min_value=0, max_value=120.0),
+                st.sampled_from([0.0, PARAMS.p_sleep, PARAMS.p_idle, 0.09]),
+                st.sampled_from(["tx", "sleep", "idle"]),
+                st.booleans()),
+            st.tuples(
+                st.floats(min_value=0, max_value=0.5),
+                st.sampled_from(["boot", "com_init"])),
         ), max_size=60),
     )
     @settings(max_examples=200, deadline=None)
     def test_storage_stays_bounded_and_conserves(self, samples, ops):
         acct = account(samples)
-        for gap, p_load, category, die in ops:
-            acct.integrate(acct.clock_s + gap, p_load, category, die)
-            assert 0.0 <= acct.storage.e_cap <= acct.storage.capacity_b
-        assert abs(acct.ledger.conservation_error(0.35, acct.storage.e_cap)) \
-            < 1e-12
+        for op in ops:
+            if len(op) == 2:
+                acct.spend(*op)
+            else:
+                gap, p_load, category, die = op
+                acct.integrate(acct.clock_s + gap, p_load, category, die)
+            assert 0.0 <= acct.e_cap <= acct.capacity_b
+        assert abs(acct.conservation_error(0.35)) < 1e-12
 
     def test_richer_trace_never_leaves_less_energy(self):
         # same consumption schedule, pointwise-greater harvest
@@ -315,7 +345,7 @@ class TestLedgerConservation:
             # 45 s steps straddle the 60 s trace segments
             for acct in (lo, hi):
                 acct.integrate((k + 1) * 45.0, float(draws[k]), "tx", False)
-            assert hi.storage.e_cap >= lo.storage.e_cap - 1e-15
+            assert hi.e_cap >= lo.e_cap - 1e-15
 
 
 class TestParamValidation:
@@ -326,17 +356,15 @@ class TestParamValidation:
             EnergyParams(charge_efficiency=1.5)
 
     def test_bad_storage(self):
-        with pytest.raises(ValueError):
-            EnergyStorage(e_cap=0.8, capacity_b=0.7)
-        with pytest.raises(ValueError):
-            EnergyStorage(e_cap=-0.1)
+        trace = HarvestTrace([1e-3], 60.0)
+        with pytest.raises(ValueError, match="capacity_b"):
+            NodeAccount(1, 0.8, 0.7, PARAMS, trace)
+        with pytest.raises(ValueError, match="capacity_b"):
+            NodeAccount(1, -0.1, 0.7, PARAMS, trace)
 
 
 def _ledger_state(acct):
-    led = acct.ledger
-    sums = [led._e_in, led._e_wasted, *led._cats.values()]
-    return ([(k.total, k.comp) for k in sums], acct.storage.e_cap,
-            acct.clock_s)
+    return (list(acct._sums), list(acct._comps), acct.e_cap, acct.clock_s)
 
 
 class TestNodeAccountKernel:
@@ -355,8 +383,8 @@ class TestNodeAccountKernel:
     def test_matches_the_ledger_method_walk_bit_for_bit(self, samples, e0,
                                                         steps):
         trace = HarvestTrace(samples, 60.0)
-        kernel, ref = (NodeAccount(1, EnergyStorage(e0, capacity_b=0.1),
-                                   PARAMS, trace) for _ in range(2))
+        kernel, ref = (NodeAccount(1, e0, 0.1, PARAMS, trace)
+                       for _ in range(2))
         for gap, p_load, category, die in steps:
             t1 = kernel.clock_s + gap
             got = kernel.integrate(t1, p_load, category, die)
@@ -371,8 +399,8 @@ class TestNodeAccountKernel:
         acct = account([0.0, 0.0, 0.0, 1e-3], e0=0.0, capacity_b=0.1)
         assert acct.scan_start(1e-2, 30.0, 600.0, p_load, "boot") == 210.0
         assert acct.clock_s == 210.0
-        assert acct.ledger.e_in == pytest.approx(1e-3 * 30.0)
-        assert acct.ledger.drawn("boot") == pytest.approx(
+        assert acct.e_in == pytest.approx(1e-3 * 30.0)
+        assert acct.drawn("boot") == pytest.approx(
             p_load / PARAMS.buck_efficiency * 30.0)
         # already above the threshold: the clock is the crossing
         assert acct.scan_start(1e-2, 30.0, 600.0, p_load, "boot") == 210.0
@@ -382,4 +410,4 @@ class TestNodeAccountKernel:
         acct = account([0.0, 0.0, 0.0, 1e-3], e0=0.0, capacity_b=0.1)
         assert acct.scan_start(1e-2, 30.0, horizon, 1e-4, "boot") is None
         assert acct.clock_s == horizon
-        assert acct.ledger.e_in == pytest.approx(e_in)
+        assert acct.e_in == pytest.approx(e_in)

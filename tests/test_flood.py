@@ -138,8 +138,9 @@ class TestSingleInitiator:
         node = res.nodes[2]
         assert not node.received
         assert node.tx_count == 0
-        assert node.radio_on_s == pytest.approx(res.duration_s)
-        assert res.duration_s == pytest.approx(
+        duration_s = res.n_slots * res.slot_s
+        assert node.radio_on_s == pytest.approx(duration_s)
+        assert duration_s == pytest.approx(
             8 * (time_on_air(CFG, 20) + FLOOD_GUARD_S)
         )
 
@@ -217,7 +218,7 @@ class TestSingleInitiator:
         links = ramp_matrix(6, seed=2)
         res = simulate_flood(0, 20, set(range(6)), links, CFG, 4, 2,
                              stream(5))
-        span = res.duration_s + 0.01
+        span = res.n_slots * res.slot_s + 0.01
         group = [1, 2, 4, 5]
         slot = {n: [0.0, 0.0, 0.0] for n in group}
         first = {n: [0.0, 0.0, 0.0] for n in group}

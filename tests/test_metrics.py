@@ -27,7 +27,7 @@ from ewansim.protocol.records import NodeRoundStats, RoundRecord, RunEvent
 from ewansim.protocol.run import PROTOCOLS, RunHooks, RunResult, simulate_run
 from ewansim.scenario import build_scenario
 
-from helpers import flat_scenario
+from helpers import delivered_by_node, delivered_total, flat_scenario
 from oracles import intersection_length, union_length
 
 METRICS_HEADER = ["node", "e_in_j", "packets", "t_active_s", "t_com_s",
@@ -143,7 +143,7 @@ class TestMetricsAgainstIntervalOracle:
             assert m.t_active_s == pytest.approx(union_length(active))
             assert m.t_com_s == pytest.approx(
                 intersection_length(spans, active))
-            assert m.packets == res.delivered_by_node().get(node, 0)
+            assert m.packets == delivered_by_node(res).get(node, 0)
             assert m.e_in_j == res.ledgers[node]["e_in"]
             assert 0.0 <= m.t_com_s <= m.t_active_s <= m.t_sim_s
 
@@ -151,7 +151,7 @@ class TestMetricsAgainstIntervalOracle:
         sc = flat_scenario(3, horizon_s=2400.0)
         res = simulate_run(sc, "ewan", master_seed=23)
         metrics = compute_all_metrics(res)
-        host_total = sum(r.delivered_total for r in res.records)
+        host_total = sum(delivered_total(r) for r in res.records)
         assert host_total == sum(m.packets for m in metrics.values())
         assert host_total > 0
 

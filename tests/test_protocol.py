@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import ewansim.campaign as campaign
 from ewansim.protocol.host import ScheduleBook
-from ewansim.energy import consume
 from ewansim.engine import Draws, RandomStreams, to_us
 from ewansim.links import LinkMatrix
 from ewansim.protocol.params import ProtocolParams
@@ -28,7 +27,8 @@ from ewansim.protocol.state import (
 )
 from ewansim.scenario import build_scenario
 
-from helpers import flat_scenario, mh_records, sh_records, transitions
+from helpers import (delivered_by_node, delivered_total, flat_scenario,
+                     mh_records, sh_records, transitions)
 
 PARAMS = ProtocolParams()
 
@@ -307,7 +307,7 @@ class TestSingleMemberRuns:
         res = simulate_run(flat_scenario(1), "single_hop", master_seed=11)
         assert mh_records(res) == []
         assert all(new != "multi_hop" for _, _, _, new, _ in transitions(res))
-        delivered = res.delivered_by_node()
+        delivered = delivered_by_node(res)
         assert delivered.get(1, 0) >= 4
 
 
@@ -321,7 +321,7 @@ class TestSeveredLinkFallback:
         assert ("multi_hop", "single_hop") in kinds
         late_sh = [r for r in sh_records(res)
                    if r.round_start_s > 4 * PARAMS.period_t]
-        assert sum(r.delivered_total for r in late_sh) >= 2
+        assert sum(delivered_total(r) for r in late_sh) >= 2
         # every m-th single-hop round samples the still-severed multi-hop
         # channel, so the node keeps its single-hop membership to the end
         assert [new for _, n, _, new, _ in transitions(res) if n == 1][-1] == \
@@ -335,7 +335,7 @@ class TestSeveredLinkFallback:
         assert ("multi_hop", "bootstrapping") in kinds
         late = [r for r in res.records
                 if r.round_start_s > 4 * PARAMS.period_t]
-        assert sum(r.delivered_total for r in late) == 0
+        assert sum(delivered_total(r) for r in late) == 0
 
 
 class TestProtocolPolicy:
@@ -358,7 +358,7 @@ class TestProtocolPolicy:
         sc = flat_scenario(2, horizon_s=7200.0)
         run = ProtocolRun(sc, protocol, RandomStreams(11, 0), sc.traces,
                           self.HOOKS)
-        assert {run.accounts[n].storage.capacity_b for n in (1, 2)} == {
+        assert {run.accounts[n].capacity_b for n in (1, 2)} == {
             storage_j or sc.storage_capacity_j}
         assert run.eparams.start_threshold == (
             threshold_j or sc.energy_params.start_threshold)
@@ -394,7 +394,7 @@ class TestContendingSyncRequests:
         # both nodes power on together; the collided sync requests are
         # resolved by capture and randomized backoff within a few periods
         res = simulate_run(flat_scenario(2), "ewan", master_seed=11)
-        delivered = res.delivered_by_node()
+        delivered = delivered_by_node(res)
         assert delivered.get(1, 0) >= 1
         assert delivered.get(2, 0) >= 1
 
@@ -419,8 +419,7 @@ def _two_members_before_mh_round(k: int) -> ProtocolRun:
 def _drain_to(run: ProtocolRun, node: int, target_j: float):
     acct = run.accounts[node]
     eff = run.eparams.buck_efficiency
-    consume(acct.ledger, acct.storage, "sleep",
-            (acct.storage.e_cap - target_j) * eff, eff)
+    acct.spend((acct.e_cap - target_j) * eff, "sleep")
 
 
 class TestCarefulRound:
@@ -489,7 +488,7 @@ class TestCarefulRound:
         for n in (1, 2):
             run.accounts[n].advance(rs, run.load_sleep)
         _drain_to(run, 1, 0.5 * fragile_j)
-        assert run.accounts[2].storage.e_cap > fragile_j
+        assert run.accounts[2].e_cap > fragile_j
 
         flushes = {1: [], 2: []}
         flush = _RoundAccountant.flush
@@ -604,7 +603,7 @@ class TestRunLifetime:
             freed = refs[0]() is None
         finally:
             gc.enable()
-        assert res.delivered_by_node()
+        assert delivered_by_node(res)
         assert freed
 
     def test_campaign_holds_one_run_result_at_a_time(self, monkeypatch):

@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ewansim.engine import RandomStreams
+from ewansim.links import LinkMatrix
 from ewansim.radio import (
     ConcurrentAttempt,
     RadioConfig,
     reception_probability,
-    received_power,
     resolve_concurrent,
     time_on_air,
 )
@@ -135,16 +135,24 @@ class TestTimeOnAir:
         assert time_on_air(cfg, lo + 16) > time_on_air(cfg, lo)
 
 
+def _rx_dbm(tx_power_dbm: float, loss_db: float) -> float:
+    """The received power a LinkMatrix gives across one loss_db link."""
+    cfg = RadioConfig("lora", 125e3, 868.1e6, tx_power_dbm, -137.0,
+                      spreading_factor=12)
+    links = LinkMatrix(2, [[0.0, loss_db], [loss_db, 0.0]])
+    return links.rx_dbm(cfg)[0][1]
+
+
 class TestLinkModel:
     def test_received_power_zero_loss(self):
-        assert received_power(14.0, 0.0) == 14.0
+        assert _rx_dbm(14.0, 0.0) == 14.0
 
     def test_received_power_subtraction(self):
-        assert received_power(14.0, 80.0) == -66.0
+        assert _rx_dbm(14.0, 80.0) == -66.0
 
     def test_link_budget_envelope(self):
         # 170 dB of loss puts the signal below any modeled sensitivity
-        rx = received_power(14.0, 170.0)
+        rx = _rx_dbm(14.0, 170.0)
         assert rx == -156.0
         assert reception_probability(rx, -137.0) == 0.0
 

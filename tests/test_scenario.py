@@ -52,6 +52,20 @@ class TestTopologyContracts:
                 topo.links_multi_hop)
 
     @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("blocked", [{1, 2}, {3}, {1, 4, 5}])
+    def test_depths_around_blocked_nodes_match_bfs_oracle(self, kind,
+                                                          blocked):
+        mh_cfg = default_vsn_configs().multi_hop
+        for seed in range(5):
+            links = generate_topology(kind, np.random.default_rng(seed)
+                                      ).links_multi_hop
+            edges = edges_from_losses(links.loss.tolist(), FSK_TX_DBM,
+                                      FSK_SENS_DBM)
+            found = bfs_depths(links.n, {e for e in edges if not e & blocked})
+            assert hop_depths(links, mh_cfg, blocked=blocked) == {
+                v: found.get(v, -1) for v in range(1, links.n)}
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_every_node_reaches_the_host_over_short_links(self, kind):
         for seed in range(10):
             topo = generate_topology(kind, np.random.default_rng(seed))
@@ -379,8 +393,13 @@ class TestPersistence:
         doc["bottleneck"] = [1, 3]
         with open(path, "w") as fh:
             yaml.safe_dump(doc, fh, sort_keys=True)
-        with pytest.raises(ScenarioError, match="bottleneck"):
+        with pytest.raises(ScenarioError, match="bottleneck") as exc:
             load_scenario(path)
+        assert str(exc.value) == (
+            "bn contract: host neighbors [1, 2] are not the designated "
+            "bottleneck pair [1, 3]; bn contract: removing the bottleneck "
+            "pair leaves [2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15] "
+            "connected to the host")
 
     def test_trace_csv_header_is_checked(self, tmp_path):
         sc = case_study_scenario()
