@@ -10,7 +10,9 @@ off again when storage empties.
 NodeAccount is the whole energy model the simulator runs: it holds the
 node's storage, integrates its harvest trace against its activity, draws
 fixed costs through the converter, and books every joule in its ledger
-of compensated sums.
+of compensated sums. The energy manager's start threshold, sampling
+interval and boot-state draw come from the account's EnergyParams:
+scan_start and monitor take only times.
 """
 from __future__ import annotations
 
@@ -214,16 +216,20 @@ class NodeAccount:
         self.clock_s = t1
         return t1 if died else None
 
-    def scan_start(self, threshold: float, step: float, horizon: float,
-                   p_load: float, category: str) -> Optional[float]:
-        """Off-state charging: sample the storage every step seconds from
-        the clock until it strictly exceeds threshold, drawing p_load.
+    def scan_start(self, horizon: float) -> Optional[float]:
+        """Off-state charging: sample the storage every sample_interval
+        seconds from the clock, drawing p_boot, until it strictly exceeds
+        start_threshold.
 
         Returns the crossing sample time, or None if the horizon arrives
         first (the clock is then at the horizon). While the storage is
         empty and no power arrives within a step, the clock jumps to the
         last sample instant before power returns and books nothing.
         """
+        params = self.params
+        threshold = params.start_threshold
+        step = params.sample_interval
+        p_load = params.p_boot
         t0 = self.clock_s
         if self.e_cap > threshold:
             return t0
@@ -243,12 +249,17 @@ class NodeAccount:
             i += 1
             nxt = t0 + i * step
             if nxt > horizon:
-                self.integrate(horizon, p_load, category, False)
+                self.integrate(horizon, p_load, "boot", False)
                 return None
-            self.integrate(nxt, p_load, category, False)
+            self.integrate(nxt, p_load, "boot", False)
             t = nxt
             if self.e_cap > threshold:
                 return t
+
+    def monitor(self, t1: float):
+        """Stay off until t1: the energy manager draws p_boot while the
+        storage clamps at zero."""
+        self.integrate(t1, self.params.p_boot, "boot", False)
 
     def advance(self, t1: float, load: tuple[float, str]) -> Optional[float]:
         """Perform one continuous activity, given as (load power, ledger

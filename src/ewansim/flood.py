@@ -39,13 +39,7 @@ import numpy as np
 
 from .engine import Draws
 from .links import LinkMatrix, mask_nodes, node_mask
-from .radio import (
-    DEFAULT_CAPTURE_SIGMA_DB,
-    DEFAULT_RAMP_DB,
-    RadioConfig,
-    resolve_concurrent,
-    time_on_air,
-)
+from .radio import RadioConfig, resolve_concurrent, time_on_air
 
 # clock-offset allowance appended to every sub-slot
 FLOOD_GUARD_S = 0.0005
@@ -235,9 +229,7 @@ def _run_flood(
             for v in mask_nodes(listening):
                 won = resolve_concurrent(
                     [(pkt, u, row[v]) for pkt, u, row in signals],
-                    config.sensitivity_dbm, DEFAULT_RAMP_DB,
-                    DEFAULT_CAPTURE_SIGMA_DB, stream,
-                )
+                    config.sensitivity_dbm, stream)
                 if won is not None:
                     bit = 1 << v
                     wave[won] = wave.get(won, 0) | bit

@@ -6,7 +6,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .radio import DEFAULT_RAMP_DB, RadioConfig, reception_probability
+from .radio import RadioConfig, reception_probability
 
 
 class ReachMasks(NamedTuple):
@@ -74,11 +74,8 @@ class LinkMatrix:
         if got is None:
             rx = [[config.tx_power_dbm - loss for loss in row]
                   for row in self.loss_rows]
-            table = [
-                [reception_probability(dbm, config.sensitivity_dbm,
-                                       DEFAULT_RAMP_DB) for dbm in row]
-                for row in rx
-            ]
+            table = [[reception_probability(dbm, config.sensitivity_dbm)
+                      for dbm in row] for row in rx]
             masks = ReachMasks(
                 reach=[node_mask(j for j, p in enumerate(row) if p > 0.0)
                        for row in table],
@@ -109,14 +106,10 @@ class LinkMatrix:
         """Reception probability of a lone packet from i heard at j."""
         return self.reception_table(config)[i][j]
 
-    def all_links_deterministic(self, nodes, config: RadioConfig) -> bool:
-        """True when every pairwise link among the given nodes has
-        reception probability exactly 0 or 1, which makes any
-        single-packet flood over them independent of the random stream."""
+    def all_links_deterministic(self, config: RadioConfig) -> bool:
+        """True when every pairwise link has reception probability exactly
+        0 or 1, which makes any single-packet flood independent of the
+        random stream."""
         table = self.reception_table(config)
-        ids = sorted(nodes)
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                if 0.0 < table[ids[a]][ids[b]] < 1.0:
-                    return False
-        return True
+        return not any(0.0 < p < 1.0
+                       for a, row in enumerate(table) for p in row[a + 1:])

@@ -35,6 +35,3 @@ class RoundRecord:
     round_index: int
     round_start_s: float
     nodes: dict[int, NodeRoundStats] = field(default_factory=dict)
-
-    def participants(self) -> list[int]:
-        return [n for n, s in self.nodes.items() if s.received_first_schedule]

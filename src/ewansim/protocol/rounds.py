@@ -27,6 +27,8 @@ from .params import (
 class _RoundLayout:
     """The slot sequence both layouts share."""
 
+    gap = INTER_SLOT_GAP_S
+
     def round_duration(self, n_data_slots: int) -> float:
         slots = (
             self.schedule_slot
@@ -55,7 +57,6 @@ class MhRoundLayout(_RoundLayout):
     toa_schedule: float
     toa_data: float
     toa_contention: float
-    gap: float = INTER_SLOT_GAP_S
 
     @classmethod
     def build(cls, params: ProtocolParams, config: RadioConfig) -> "MhRoundLayout":
@@ -93,8 +94,7 @@ class ShRoundLayout(_RoundLayout):
     toa_schedule: float
     toa_data: float
     toa_contention: float
-    gap: float = INTER_SLOT_GAP_S
-    turnaround: float = TURNAROUND_S
+    turnaround = TURNAROUND_S
 
     @classmethod
     def build(cls, params: ProtocolParams, config: RadioConfig) -> "ShRoundLayout":

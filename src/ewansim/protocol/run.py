@@ -53,14 +53,7 @@ from ..engine import (
     to_us,
 )
 from ..flood import FloodResult, simulate_contention_flood, simulate_flood
-from ..radio import (
-    DEFAULT_CAPTURE_SIGMA_DB,
-    DEFAULT_RAMP_DB,
-    RadioConfig,
-    bernoulli,
-    resolve_concurrent,
-    time_on_air,
-)
+from ..radio import RadioConfig, bernoulli, resolve_concurrent, time_on_air
 from .host import ScheduleBook
 from .params import (
     CONTENTION_BYTES,
@@ -452,9 +445,8 @@ class ProtocolRun:
             {n: self.links_sh.link_probability(self.HOST, n, c)
              for n in self.nodes}
             for c in (self.cfg_boot, self.cfg_sh))
-        all_ids = set(range(n_nodes + 1))
         self._mh_deterministic = self.links_mh.all_links_deterministic(
-            all_ids, self.cfg_mh)
+            self.cfg_mh)
         self._flood_cache: dict[tuple, FloodResult] = {}
 
         # conservative per-round storage costs that guarantee survival
@@ -543,7 +535,7 @@ class ProtocolRun:
             return
         acct = self.accounts[node]
         if acct.clock_s < t - CLOCK_EPS_S:
-            acct.integrate(t, self.eparams.p_boot, "boot", die=False)
+            acct.monitor(t)
         if acct.e_cap <= self.eparams.start_threshold:
             # dipped back below threshold while waiting: keep charging
             self._rearm_scan(node)
@@ -561,17 +553,13 @@ class ProtocolRun:
     def _rearm_scan(self, node: int):
         """Charge the off node until its storage crosses the start
         threshold at a monitor sample, then power it on there."""
-        ep = self.eparams
-        g = self.accounts[node].scan_start(ep.start_threshold,
-                                           ep.sample_interval, self.horizon_s,
-                                           ep.p_boot, "boot")
+        g = self.accounts[node].scan_start(self.horizon_s)
         if g is None:
             return
         now_s = to_s(self.queue.now_us)
         wake = max(g, now_s)
         if wake >= self.horizon_s:
-            self.accounts[node].integrate(
-                self.horizon_s, self.eparams.p_boot, "boot", die=False)
+            self.accounts[node].monitor(self.horizon_s)
             return
         self.queue.schedule(max(to_us(wake), self.queue.now_us),
                             self._power_on, node, wake)
@@ -685,9 +673,7 @@ class ProtocolRun:
         host decodes, if any."""
         rx = self.links_sh.rx_dbm(cfg)[self.HOST]
         attempts = [(n, n, rx[n]) for n in nodes]
-        return resolve_concurrent(attempts, cfg.sensitivity_dbm,
-                                  DEFAULT_RAMP_DB, DEFAULT_CAPTURE_SIGMA_DB,
-                                  self._rx)
+        return resolve_concurrent(attempts, cfg.sensitivity_dbm, self._rx)
 
     # ------------------------------------------------------------------
     # flood plumbing
@@ -848,7 +834,7 @@ class ProtocolRun:
                 return
             st = self.nstate[node].vsn
             if st is Vsn.OFF:
-                acct.integrate(horizon, self.eparams.p_boot, "boot", die=False)
+                acct.monitor(horizon)
                 return
             if node in self.mhb_listeners:
                 d = acct.advance(horizon, self.load_mh.listen)

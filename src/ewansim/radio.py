@@ -2,17 +2,18 @@
 reception, probabilistic loss near sensitivity, and concurrent-transmission
 capture.
 
-Sensitivities and radio supply powers are nominal transceiver-class
-constants; comparisons in the evaluation depend on orderings and ratios,
-not on absolute dBm or milliwatts. Every run uses one reception ramp
-(DEFAULT_RAMP_DB) and one capture sigma (DEFAULT_CAPTURE_SIGMA_DB).
+Sensitivities, radio supply powers, the reception ramp (RAMP_DB above
+sensitivity) and the capture sigma (CAPTURE_SIGMA_DB) are nominal
+transceiver-class constants that every run shares; comparisons in the
+evaluation depend on orderings and ratios, not on absolute dBm or
+milliwatts.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 # supply power drawn from the node's regulated rail while transmitting,
 # keyed by configured output power (dBm) -> watts
@@ -29,8 +30,8 @@ RX_SUPPLY_W = {
     "fsk": 0.0164,
 }
 
-DEFAULT_RAMP_DB = 2.0
-DEFAULT_CAPTURE_SIGMA_DB = 3.0
+RAMP_DB = 2.0
+CAPTURE_SIGMA_DB = 3.0
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -65,6 +66,8 @@ class RadioConfig:
             v = getattr(self, f.name)
             if "int" in f.type and v is not None and not isinstance(v, int):
                 raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            if f.type == "bool" and type(v) is not bool:
+                raise ValueError(f"{f.name} must be true or false, got {v!r}")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, got {v!r}")
         if not self.bandwidth_hz > 0:
@@ -142,48 +145,34 @@ def time_on_air(config: RadioConfig, payload_bytes: int) -> float:
     return preamble + payload_symbols * t_sym
 
 
-def reception_probability(
-    rx_power_dbm: float, sensitivity_dbm: float, ramp_width_db: float = DEFAULT_RAMP_DB
-) -> float:
-    """0 below sensitivity, 1 at sensitivity + ramp_width, linear between."""
-    if ramp_width_db <= 0:
-        raise ValueError("ramp width must be positive")
+def reception_probability(rx_power_dbm: float, sensitivity_dbm: float) -> float:
+    """0 below sensitivity, 1 at sensitivity + RAMP_DB, linear between."""
     if rx_power_dbm < sensitivity_dbm:
         return 0.0
-    if rx_power_dbm >= sensitivity_dbm + ramp_width_db:
+    if rx_power_dbm >= sensitivity_dbm + RAMP_DB:
         return 1.0
-    return (rx_power_dbm - sensitivity_dbm) / ramp_width_db
+    return (rx_power_dbm - sensitivity_dbm) / RAMP_DB
 
 
 def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
-class ConcurrentAttempt(NamedTuple):
-    """One transmission as seen by a listener during an overlap."""
-
-    packet_id: int
-    sender: int
-    rx_power_dbm: float
-
-
 def resolve_concurrent(
     attempts: Sequence[tuple[int, int, float]],
     sensitivity_dbm: float,
-    ramp_width_db: float,
-    capture_sigma_db: float,
     stream,
 ) -> Optional[int]:
     """Outcome of temporally overlapping transmissions at one listener.
 
-    Each attempt is a ConcurrentAttempt or a plain (packet_id, sender,
-    rx_power_dbm) tuple. Attempts carrying the same packet_id are
-    synchronous retransmissions of the same data and combine
-    constructively: the group acts as one signal whose power is the linear
-    sum of its members and whose decodable candidate is the strongest
-    member. Groups with distinct payloads compete: the strongest group is
-    captured with probability Phi(delta / sigma), where delta is its power
-    advantage in dB over the linear-watt sum of every other group. With
+    Each attempt is a (packet_id, sender, rx_power_dbm) tuple. Attempts
+    carrying the same packet_id are synchronous retransmissions of the
+    same data and combine constructively: the group acts as one signal
+    whose power is the linear sum of its members and whose decodable
+    candidate is the strongest member. Groups with distinct payloads
+    compete: the strongest group is captured with probability
+    Phi(delta / CAPTURE_SIGMA_DB), where delta is its power advantage in
+    dB over the linear-watt sum of every other group. With
     exactly two competing payloads the weaker one gets the complementary
     capture probability; with more than two, a failed capture means
     nothing is decodable. Reception of the winning candidate is then
@@ -217,14 +206,14 @@ def resolve_concurrent(
         strong_mw = ranked[0][0]
         rest_mw = sum([mw for mw, _, _ in ranked[1:]])
         delta_db = 10.0 * math.log10(strong_mw) - 10.0 * math.log10(rest_mw)
-        captured = bernoulli(stream, normal_cdf(delta_db / capture_sigma_db))
+        captured = bernoulli(stream, normal_cdf(delta_db / CAPTURE_SIGMA_DB))
         if captured:
             _, winner_id, best_dbm = ranked[0]
         elif len(ranked) == 2:
             _, winner_id, best_dbm = ranked[1]
         else:
             return None
-    p = reception_probability(best_dbm, sensitivity_dbm, ramp_width_db)
+    p = reception_probability(best_dbm, sensitivity_dbm)
     return winner_id if bernoulli(stream, p) else None
 
 

@@ -14,14 +14,14 @@ import math
 import os
 from collections import deque
 from dataclasses import asdict, dataclass, replace
-from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 import yaml
 
 from .energy import EnergyParams, HarvestTrace
 from .links import LinkMatrix
-from .radio import DEFAULT_RAMP_DB, RadioConfig, normal_cdf
+from .radio import RAMP_DB, RadioConfig, normal_cdf
 from .protocol.params import ProtocolParams, VsnConfigs, default_vsn_configs
 from .protocol.rounds import MhRoundLayout, ShRoundLayout
 
@@ -30,6 +30,7 @@ TOPOLOGY_KINDS = ("ob", "bn", "fh", "mh")
 TRACE_RESOLUTION_S = 60.0
 DAY_S = 86400.0
 HOUR_S = 3600.0
+_DAY_SAMPLES = int(DAY_S / TRACE_RESOLUTION_S)
 
 # log-distance propagation; nudged afterwards so every link is either
 # comfortably decodable or comfortably severed
@@ -72,8 +73,13 @@ class TraceGenParams:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ScenarioError(f"rho must lie in [0, 1], got {self.rho}")
+        if type(self.days) is not int:
+            raise ScenarioError(f"days must be an integer, got {self.days!r}")
         if self.days < 1:
             raise ScenarioError("need at least one day of traces")
+        if type(self.special_deep) is not bool:
+            raise ScenarioError(f"special_deep must be true or false, got "
+                                f"{self.special_deep!r}")
         lo, hi = self.e_avg_range_j
         if not 0 < lo <= hi:
             raise ScenarioError("daily energy range must be positive and ordered")
@@ -87,9 +93,10 @@ class TraceGenParams:
             raise ScenarioError("noise_sigma must be non-negative")
 
 
-def _day_at(gen: TraceGenParams, u) -> Tuple[float, float, float]:
+def _day_at(gen: TraceGenParams, u) -> Tuple:
     """The (e_avg_j, start_s, end_s) of a day at quantiles u[0..2] of the
-    recipe's daily-energy, start-window and end-window ranges."""
+    recipe's daily-energy, start-window and end-window ranges; each u[k]
+    is one quantile or an array of them, one per node."""
     e_lo, e_hi = gen.e_avg_range_j
     s_lo, s_hi = gen.start_window_h
     t_lo, t_hi = gen.end_window_h
@@ -98,52 +105,41 @@ def _day_at(gen: TraceGenParams, u) -> Tuple[float, float, float]:
             (t_lo + (t_hi - t_lo) * u[2]) * HOUR_S)
 
 
-def _copula_day(gen: TraceGenParams, n_nodes: int,
-                stream: np.random.Generator) -> List[Tuple[float, float, float]]:
-    """One day's (e_avg_j, start_s, end_s) per node, correlation rho."""
-    w_common = math.sqrt(gen.rho)
-    w_own = math.sqrt(1.0 - gen.rho)
-    z_common = stream.standard_normal(3)
-    triples = []
-    for _ in range(n_nodes):
-        z_own = stream.standard_normal(3)
-        triples.append(_day_at(gen, [
-            normal_cdf(w_common * z_common[k] + w_own * z_own[k])
-            for k in range(3)]))
-    return triples
-
-
-def _fill_day(samples: np.ndarray, day: int, e_avg_j: float, start_s: float,
-              end_s: float, factors: Sequence[float]):
-    """Write one node-day of power samples given its hourly noise factors."""
+def _fill_day(samples: np.ndarray, day: int, e_avg_j, start_s, end_s,
+              noise: np.ndarray):
+    """Write day `day` of every row of samples: row r harvests e_avg_j[r]
+    evenly over the samples that start in [start_s[r], end_s[r]), each
+    hour's power scaled by 1 + noise[r, hour] floored at zero."""
+    hour = (np.arange(_DAY_SAMPLES) * TRACE_RESOLUTION_S // HOUR_S).astype(int)
+    factors = np.maximum(1.0 + noise, 0.0)
     base_w = e_avg_j / (end_s - start_s)
-    per_day = int(DAY_S / TRACE_RESOLUTION_S)
-    i0 = day * per_day
-    first = i0 + int(math.ceil(start_s / TRACE_RESOLUTION_S))
-    last = i0 + int(math.ceil(end_s / TRACE_RESOLUTION_S))  # exclusive
-    for i in range(first, min(last, i0 + per_day)):
-        hour = int(((i - i0) * TRACE_RESOLUTION_S) // HOUR_S)
-        samples[i] = base_w * factors[hour]
-
-
-def _noise_factors(gen: TraceGenParams, stream: np.random.Generator) -> np.ndarray:
-    # one factor per hour of day, always 24 draws so stream use is fixed
-    raw = 1.0 + stream.normal(0.0, gen.noise_sigma, 24)
-    return np.maximum(raw, 0.0)
+    first = np.ceil(start_s / TRACE_RESOLUTION_S).astype(int)
+    last = np.minimum(np.ceil(end_s / TRACE_RESOLUTION_S), _DAY_SAMPLES
+                      ).astype(int)
+    i0 = day * _DAY_SAMPLES
+    # row by row, so no temporary grows with the node count and the dark
+    # samples are never written
+    for r, (a, b) in enumerate(zip(first, last)):
+        samples[r, i0 + a:i0 + b] = base_w[r] * factors[r, hour[a:b]]
 
 
 def generate_traces(gen: TraceGenParams, n_nodes: int,
                     stream: np.random.Generator) -> Dict[int, HarvestTrace]:
-    """Synthesize per-node day-night harvesting traces at 60 s resolution."""
-    per_day = int(DAY_S / TRACE_RESOLUTION_S)
-    arrays = {n: np.zeros(gen.days * per_day) for n in range(1, n_nodes + 1)}
+    """Synthesize per-node day-night harvesting traces at 60 s resolution.
+
+    Each day draws its 3 common normals, then each node's 3 own normals,
+    then each node's 24 hourly noise factors."""
+    w_common = math.sqrt(gen.rho)
+    w_own = math.sqrt(1.0 - gen.rho)
+    samples = np.zeros((n_nodes, gen.days * _DAY_SAMPLES))
     for day in range(gen.days):
-        triples = _copula_day(gen, n_nodes, stream)
-        for n in range(1, n_nodes + 1):
-            e_avg, start_s, end_s = triples[n - 1]
-            factors = _noise_factors(gen, stream)
-            _fill_day(arrays[n], day, e_avg, start_s, end_s, factors)
-    return {n: HarvestTrace(arrays[n], TRACE_RESOLUTION_S)
+        z_common = stream.standard_normal(3)
+        z = w_common * z_common + w_own * stream.standard_normal((n_nodes, 3))
+        # numpy has no erf: map each normal through the scalar cdf
+        u = np.vectorize(normal_cdf, otypes=[float])(z)
+        noise = stream.normal(0.0, gen.noise_sigma, (n_nodes, 24))
+        _fill_day(samples, day, *_day_at(gen, u.T), noise)
+    return {n: HarvestTrace(samples[n - 1], TRACE_RESOLUTION_S)
             for n in range(1, n_nodes + 1)}
 
 
@@ -157,20 +153,18 @@ def special_mh_traces(gen: TraceGenParams, depths: Mapping[int, int],
     so the deep/near daily-energy ratio is exact before noise.
     """
     nodes = sorted(depths)
-    per_day = int(DAY_S / TRACE_RESOLUTION_S)
-    arrays = {n: np.zeros(gen.days * per_day) for n in nodes}
+    deep = np.array([depths[n] > 1 for n in nodes], dtype=bool)
     ext_s = gen.deep_window_extension_h * HOUR_S
+    samples = np.zeros((len(nodes), gen.days * _DAY_SAMPLES))
     for day in range(gen.days):
         e_near, start_s, end_s = _day_at(gen, stream.uniform(0.0, 1.0, 3))
-        for n in nodes:
-            factors = _noise_factors(gen, stream)
-            if depths[n] <= 1:
-                _fill_day(arrays[n], day, e_near, start_s, end_s, factors)
-            else:
-                _fill_day(arrays[n], day, e_near * gen.deep_energy_factor,
-                          max(start_s - ext_s, 0.0),
-                          min(end_s + ext_s, DAY_S), factors)
-    return {n: HarvestTrace(arrays[n], TRACE_RESOLUTION_S) for n in nodes}
+        noise = stream.normal(0.0, gen.noise_sigma, (len(nodes), 24))
+        _fill_day(samples, day,
+                  np.where(deep, e_near * gen.deep_energy_factor, e_near),
+                  np.where(deep, max(start_s - ext_s, 0.0), start_s),
+                  np.where(deep, min(end_s + ext_s, DAY_S), end_s), noise)
+    return {n: HarvestTrace(row, TRACE_RESOLUTION_S)
+            for n, row in zip(nodes, samples)}
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +353,10 @@ def verify_scenario(scenario: Scenario) -> List[str]:
     budget_long = cfg_long.tx_power_dbm - cfg_long.sensitivity_dbm
     for v in range(1, n + 1):
         loss = scenario.links_single_hop.loss_db(0, v)
-        if loss > budget_long - DEFAULT_RAMP_DB:
+        if loss > budget_long - RAMP_DB:
             out.append(
                 f"node {v} lacks a guaranteed long-range host link "
-                f"(loss {loss:.1f} dB, needs <= {budget_long - DEFAULT_RAMP_DB:.1f})")
+                f"(loss {loss:.1f} dB, needs <= {budget_long - RAMP_DB:.1f})")
 
     depths = scenario.hop_depths()
     kind = scenario.kind
@@ -438,8 +432,7 @@ def verify_scenario(scenario: Scenario) -> List[str]:
 
 
 def build_scenario(kind: str, rho: float, stream: np.random.Generator,
-                   days: int = 7, special_deep: bool = False,
-                   horizon_s: Optional[float] = None) -> Scenario:
+                   days: int = 7, special_deep: bool = False) -> Scenario:
     """One of the four evaluation scenarios with a generated trace recipe."""
     if special_deep and kind != "mh":
         raise ScenarioError("deep-node trace shaping is defined for mh only")
@@ -460,7 +453,7 @@ def build_scenario(kind: str, rho: float, stream: np.random.Generator,
         params=ProtocolParams(),
         vsn_configs=default_vsn_configs(),
         energy_params=EnergyParams(),
-        horizon_s=days * DAY_S if horizon_s is None else horizon_s,
+        horizon_s=days * DAY_S,
         trace_gen=gen,
         bottleneck=topo.bottleneck,
     )
@@ -659,7 +652,10 @@ def load_scenario(path: str) -> Scenario:
                                 f"supported; this version reads format 1")
         _reject_unknown(path, "top-level", doc, _SCENARIO_KEYS)
         _reject_unknown(path, "radio", doc["radio"], _VSN_KEYS)
-        n_nodes = int(doc["n_nodes"])
+        n_nodes = doc["n_nodes"]
+        if type(n_nodes) is not int:
+            raise ScenarioError(f"{path}: n_nodes must be an integer, got "
+                                f"{n_nodes!r}")
         short = np.asarray(doc["links_multi_hop"], dtype=float)
         long_range = np.asarray(doc["links_single_hop"], dtype=float)
         traces = None

@@ -12,18 +12,34 @@ closure per helper, every group's power recomputed where it is used);
 ``reference_integrate`` is the energy kernel's segment walk booking every
 step through the ledger methods as first written, on ``_KahanSum``
 accumulators, and ``reference_consume`` is the fixed-cost draw as first
-written, a function over a ledger and a storage.
+written, a function over a ledger and a storage;
+``reference_generate_traces`` and ``reference_special_mh_traces`` are the
+harvest-trace generators as first written, one node-day and one sample
+at a time.
 """
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ewansim.energy import _AT, _E_IN, _E_WASTED
+from ewansim.energy import _AT, _E_IN, _E_WASTED, HarvestTrace
 from ewansim.flood import FLOOD_GUARD_S, FloodNodeResult, FloodResult
-from ewansim.radio import ConcurrentAttempt, reception_probability, time_on_air
+from ewansim.radio import time_on_air
+from ewansim.scenario import DAY_S, HOUR_S, TRACE_RESOLUTION_S
+
+# the reception ramp and capture sigma of the modeled radio, in dB
+RAMP_DB = 2.0
+CAPTURE_SIGMA_DB = 3.0
+
+
+class ConcurrentAttempt(NamedTuple):
+    """One transmission as seen by a listener during an overlap."""
+
+    packet_id: int
+    sender: int
+    rx_power_dbm: float
 
 
 def lora_toa_datasheet(
@@ -380,7 +396,7 @@ def reference_resolve_concurrent(
 
     if len(groups) == 1:
         best = candidate(next(iter(groups.values())))
-        p = reception_probability(best.rx_power_dbm, sensitivity_dbm, ramp_width_db)
+        p = ramp_probability(best.rx_power_dbm, sensitivity_dbm, ramp_width_db)
         return best.packet_id if bernoulli(p) else None
 
     ranked = sorted(
@@ -399,7 +415,7 @@ def reference_resolve_concurrent(
             return None
         winner_id, winner_members = strongest_id, strongest_members
     winner_cand = candidate(winner_members)
-    p = reception_probability(
+    p = ramp_probability(
         winner_cand.rx_power_dbm, sensitivity_dbm, ramp_width_db
     )
     return winner_id if bernoulli(p) else None
@@ -469,3 +485,90 @@ def reference_flood(holders, payload_bytes, participants, links, config,
         for node in participants
     }
     return FloodResult(nodes=nodes, n_slots=n_slots, toa_s=toa, slot_s=slot_s)
+
+
+def _reference_day_at(gen, u) -> Tuple[float, float, float]:
+    """The (e_avg_j, start_s, end_s) of a day at quantiles u[0..2] of the
+    recipe's daily-energy, start-window and end-window ranges."""
+    e_lo, e_hi = gen.e_avg_range_j
+    s_lo, s_hi = gen.start_window_h
+    t_lo, t_hi = gen.end_window_h
+    return (e_lo + (e_hi - e_lo) * u[0],
+            (s_lo + (s_hi - s_lo) * u[1]) * HOUR_S,
+            (t_lo + (t_hi - t_lo) * u[2]) * HOUR_S)
+
+
+def _reference_copula_day(gen, n_nodes: int, stream: np.random.Generator
+                          ) -> List[Tuple[float, float, float]]:
+    """One day's (e_avg_j, start_s, end_s) per node, correlation rho."""
+    w_common = math.sqrt(gen.rho)
+    w_own = math.sqrt(1.0 - gen.rho)
+    z_common = stream.standard_normal(3)
+    triples = []
+    for _ in range(n_nodes):
+        z_own = stream.standard_normal(3)
+        triples.append(_reference_day_at(gen, [
+            normal_cdf(w_common * z_common[k] + w_own * z_own[k])
+            for k in range(3)]))
+    return triples
+
+
+def _reference_fill_day(samples: np.ndarray, day: int, e_avg_j: float,
+                        start_s: float, end_s: float,
+                        factors: Sequence[float]):
+    """Write one node-day of power samples given its hourly noise factors."""
+    base_w = e_avg_j / (end_s - start_s)
+    per_day = int(DAY_S / TRACE_RESOLUTION_S)
+    i0 = day * per_day
+    first = i0 + int(math.ceil(start_s / TRACE_RESOLUTION_S))
+    last = i0 + int(math.ceil(end_s / TRACE_RESOLUTION_S))  # exclusive
+    for i in range(first, min(last, i0 + per_day)):
+        hour = int(((i - i0) * TRACE_RESOLUTION_S) // HOUR_S)
+        samples[i] = base_w * factors[hour]
+
+
+def _reference_noise_factors(gen, stream: np.random.Generator) -> np.ndarray:
+    # one factor per hour of day, always 24 draws so stream use is fixed
+    raw = 1.0 + stream.normal(0.0, gen.noise_sigma, 24)
+    return np.maximum(raw, 0.0)
+
+
+def reference_generate_traces(gen, n_nodes: int, stream: np.random.Generator
+                              ) -> Dict[int, HarvestTrace]:
+    """Synthesize per-node day-night harvesting traces at 60 s resolution."""
+    per_day = int(DAY_S / TRACE_RESOLUTION_S)
+    arrays = {n: np.zeros(gen.days * per_day) for n in range(1, n_nodes + 1)}
+    for day in range(gen.days):
+        triples = _reference_copula_day(gen, n_nodes, stream)
+        for n in range(1, n_nodes + 1):
+            e_avg, start_s, end_s = triples[n - 1]
+            factors = _reference_noise_factors(gen, stream)
+            _reference_fill_day(arrays[n], day, e_avg, start_s, end_s,
+                                factors)
+    return {n: HarvestTrace(arrays[n], TRACE_RESOLUTION_S)
+            for n in range(1, n_nodes + 1)}
+
+
+def reference_special_mh_traces(gen, depths: Mapping[int, int],
+                                stream: np.random.Generator
+                                ) -> Dict[int, HarvestTrace]:
+    """Traces that starve the host-adjacent relays: near nodes get the
+    day's triple as is, deeper ones more energy over a wider window."""
+    nodes = sorted(depths)
+    per_day = int(DAY_S / TRACE_RESOLUTION_S)
+    arrays = {n: np.zeros(gen.days * per_day) for n in nodes}
+    ext_s = gen.deep_window_extension_h * HOUR_S
+    for day in range(gen.days):
+        e_near, start_s, end_s = _reference_day_at(
+            gen, stream.uniform(0.0, 1.0, 3))
+        for n in nodes:
+            factors = _reference_noise_factors(gen, stream)
+            if depths[n] <= 1:
+                _reference_fill_day(arrays[n], day, e_near, start_s, end_s,
+                                    factors)
+            else:
+                _reference_fill_day(arrays[n], day,
+                                    e_near * gen.deep_energy_factor,
+                                    max(start_s - ext_s, 0.0),
+                                    min(end_s + ext_s, DAY_S), factors)
+    return {n: HarvestTrace(arrays[n], TRACE_RESOLUTION_S) for n in nodes}

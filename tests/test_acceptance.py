@@ -28,12 +28,7 @@ from ewansim.metrics import event_line
 from ewansim.protocol.params import ProtocolParams, default_vsn_configs
 from ewansim.protocol.run import RunHooks, simulate_run
 from ewansim.protocol.state import NodeState, TransitionEvent, Vsn, node_transition
-from ewansim.radio import (
-    ConcurrentAttempt,
-    RadioConfig,
-    resolve_concurrent,
-    time_on_air,
-)
+from ewansim.radio import RadioConfig, resolve_concurrent, time_on_air
 from ewansim.scenario import (
     Scenario,
     build_scenario,
@@ -404,13 +399,14 @@ def test_criterion_06_radio_and_flood_against_independent_oracles():
 
     sens, ramp, sigma = -124.0, 2.0, 3.0
     pa_dbm, pb_dbm = -122.8, -124.9
-    atts = [ConcurrentAttempt(1, 1, pa_dbm), ConcurrentAttempt(2, 2, pb_dbm)]
+    atts = [oracles.ConcurrentAttempt(1, 1, pa_dbm),
+            oracles.ConcurrentAttempt(2, 2, pb_dbm)]
     want = oracles.capture_probabilities_two(pa_dbm, pb_dbm, sigma, sens, ramp)
     g = RandomStreams(123).stream("capture")
     n = 100_000
     counts = {1: 0, 2: 0, None: 0}
     for _ in range(n):
-        counts[resolve_concurrent(atts, sens, ramp, sigma, g)] += 1
+        counts[resolve_concurrent(atts, sens, g)] += 1
     assert abs(counts[1] / n - want[0]) < 0.01
     assert abs(counts[2] / n - want[1]) < 0.01
     assert abs(counts[None] / n - want[2]) < 0.01

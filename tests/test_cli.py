@@ -262,6 +262,21 @@ class TestVerifyCommand:
         doc.update(fields)
         path.write_text(yaml.safe_dump(doc, sort_keys=True))
 
+    @staticmethod
+    def _assert_error_line(capsys, scen, tmp_path, message):
+        """verify and run both fail with an error: line holding message,
+        and run writes no metrics."""
+        capsys.readouterr()
+        for argv in (["verify", "--scenario", scen],
+                     ["run", "--scenario", scen, "--protocol", "ewan",
+                      "--seed", "3", "--out", str(tmp_path / "out")]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err.startswith("error:")
+            assert message in err
+        assert not os.path.exists(tmp_path / "out" / "metrics.csv")
+
     @pytest.mark.parametrize("power", ("nan", "inf"))
     def test_non_finite_trace_sample_is_an_error_line(self, tmp_path, capsys,
                                                       power):
@@ -271,25 +286,19 @@ class TestVerifyCommand:
         assert rows[4].startswith("180.0,")
         rows[4] = f"180.0,{power}"
         trace.write_text("\n".join(rows) + "\n")
-        capsys.readouterr()
-        for argv in (["verify", "--scenario", str(scen)],
-                     ["run", "--scenario", str(scen), "--protocol", "ewan",
-                      "--seed", "3", "--out", str(tmp_path / "out")]):
-            code = main(argv)
-            err = capsys.readouterr().err
-            assert code == 1, argv
-            assert err.startswith("error:")
-            assert "node01.csv: line 5:" in err
-        assert not os.path.exists(tmp_path / "out" / "metrics.csv")
+        self._assert_error_line(capsys, str(scen), tmp_path,
+                                "node01.csv: line 5:")
 
-    # horizon and storage values that no run can use; the fixed traces
-    # leave no trace-span check that would catch them by accident
+    # horizon and storage values that no run can use, and a node count
+    # that verify once truncated; the fixed traces leave no trace-span
+    # check that would catch them by accident
     @pytest.mark.parametrize("field, value", [
         ("horizon_s", float("nan")),
         ("horizon_s", float("inf")),
         ("horizon_s", -3600.0),
         ("initial_charge_j", -0.1),
         ("storage_capacity_j", float("nan")),
+        ("n_nodes", 15.9),
     ])
     def test_out_of_range_scalar_is_an_error_line(self, tmp_path, capsys,
                                                   field, value):
@@ -297,18 +306,15 @@ class TestVerifyCommand:
         self._edit_doc(scen, **{field: value})
         with pytest.raises(ScenarioError, match=field):
             load_scenario(str(scen))
-        capsys.readouterr()
-        code = main(["verify", "--scenario", str(scen)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:")
-        assert field in err
+        self._assert_error_line(capsys, str(scen), tmp_path, field)
 
     # parameter values that pass every structural check, but that made
     # run hang (sample_interval), end in a traceback (backoff_window,
     # period_t, a negative sh_retx_host, a tx power without a known
-    # supply draw, and verify itself on a zero bandwidth or datarate),
-    # write nan energies (p_idle) or treat a fraction as a count (p)
+    # supply draw, a fractional day count, and verify itself on a zero
+    # bandwidth or datarate), write nan energies (p_idle), treat a
+    # fraction as a count (p) or a quoted word as true (special_deep,
+    # has_crc, explicit_header)
     @pytest.mark.parametrize("section, field, value", [
         ("energy", "sample_interval", float("nan")),
         ("energy", "p_idle", float("nan")),
@@ -322,6 +328,10 @@ class TestVerifyCommand:
         ("radio.multi_hop", "datarate_bps", 0),
         ("radio.bootstrap", "tx_power_dbm", float("nan")),
         ("radio.multi_hop", "tx_power_dbm", 13.0),
+        ("trace_gen", "days", 1.5),
+        ("trace_gen", "special_deep", "no"),
+        ("radio.single_hop", "has_crc", "no"),
+        ("radio.multi_hop", "explicit_header", "yes"),
     ])
     def test_invalid_parameter_is_an_error_line(self, tmp_path, capsys,
                                                 section, field, value):
@@ -336,12 +346,7 @@ class TestVerifyCommand:
             yaml.safe_dump(doc, fh, sort_keys=True)
         with pytest.raises(ScenarioError, match=rf"\b{field}\b.* must be"):
             load_scenario(path)
-        capsys.readouterr()
-        code = main(["verify", "--scenario", path])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:")
-        assert field in err
+        self._assert_error_line(capsys, path, tmp_path, field)
 
     # a file this version cannot read: another format, no format, a key
     # save_scenario never writes, or a kind with no topology contract
@@ -364,16 +369,7 @@ class TestVerifyCommand:
                 doc[key] = value
         with open(path, "w") as fh:
             yaml.safe_dump(doc, fh, sort_keys=True)
-        capsys.readouterr()
-        for argv in (["verify", "--scenario", path],
-                     ["run", "--scenario", path, "--protocol", "ewan",
-                      "--seed", "3", "--out", str(tmp_path / "out")]):
-            code = main(argv)
-            err = capsys.readouterr().err
-            assert code == 1, argv
-            assert err.startswith("error:")
-            assert message in err
-        assert not os.path.exists(tmp_path / "out" / "metrics.csv")
+        self._assert_error_line(capsys, path, tmp_path, message)
 
     def test_sh_retx_node_is_an_unknown_field(self, tmp_path, capsys):
         # saved scenarios of earlier versions carry sh_retx_node: 0, a

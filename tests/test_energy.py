@@ -392,22 +392,27 @@ class TestNodeAccountKernel:
             assert got == want
             assert _ledger_state(kernel) == _ledger_state(ref)
 
+    # a 1e-2 J start threshold, 30 s sampling and a 1e-4 W boot-state draw
+    SCAN = replace(PARAMS, start_threshold=1e-2, sample_interval=30.0,
+                   p_boot=1e-4)
+
     def test_scan_start_skips_the_dark_and_stops_at_a_sample(self):
         # power arrives at 180 s; 30 s steps then cross the threshold at
         # the first sample after it, 210 s
-        p_load = 1e-4
-        acct = account([0.0, 0.0, 0.0, 1e-3], e0=0.0, capacity_b=0.1)
-        assert acct.scan_start(1e-2, 30.0, 600.0, p_load, "boot") == 210.0
+        acct = account([0.0, 0.0, 0.0, 1e-3], e0=0.0, capacity_b=0.1,
+                       params=self.SCAN)
+        assert acct.scan_start(600.0) == 210.0
         assert acct.clock_s == 210.0
         assert acct.e_in == pytest.approx(1e-3 * 30.0)
         assert acct.drawn("boot") == pytest.approx(
-            p_load / PARAMS.buck_efficiency * 30.0)
+            1e-4 / PARAMS.buck_efficiency * 30.0)
         # already above the threshold: the clock is the crossing
-        assert acct.scan_start(1e-2, 30.0, 600.0, p_load, "boot") == 210.0
+        assert acct.scan_start(600.0) == 210.0
 
     @pytest.mark.parametrize("horizon, e_in", [(150.0, 0.0), (200.0, 2e-2)])
     def test_scan_start_stops_at_the_horizon(self, horizon, e_in):
-        acct = account([0.0, 0.0, 0.0, 1e-3], e0=0.0, capacity_b=0.1)
-        assert acct.scan_start(1e-2, 30.0, horizon, 1e-4, "boot") is None
+        acct = account([0.0, 0.0, 0.0, 1e-3], e0=0.0, capacity_b=0.1,
+                       params=self.SCAN)
+        assert acct.scan_start(horizon) is None
         assert acct.clock_s == horizon
         assert acct.e_in == pytest.approx(e_in)

@@ -15,13 +15,7 @@ from ewansim.flood import (
 )
 from ewansim.links import LinkMatrix
 from ewansim.protocol.run import _FloodTransport
-from ewansim.radio import (
-    DEFAULT_CAPTURE_SIGMA_DB,
-    DEFAULT_RAMP_DB,
-    RadioConfig,
-    reception_probability,
-    time_on_air,
-)
+from ewansim.radio import RadioConfig, reception_probability, time_on_air
 
 import oracles
 
@@ -209,7 +203,7 @@ class TestSingleInitiator:
         n = 5
         edges = {frozenset((i, i + 1)) for i in range(n - 1)}
         links = matrix_from_edges(n, edges)
-        assert links.all_links_deterministic(range(n), CFG)
+        assert links.all_links_deterministic(CFG)
         a = simulate_flood(0, 20, set(range(n)), links, CFG, 6, 2, stream(1))
         b = simulate_flood(0, 20, set(range(n)), links, CFG, 6, 2, stream(999))
         assert a == b
@@ -293,7 +287,7 @@ class TestKernelMatchesReference:
                 for g in (g_kernel, draws))
         want = oracles.reference_flood(
             holders, 20, participants, links, CFG, hops, retx, g_ref,
-            DEFAULT_RAMP_DB, DEFAULT_CAPTURE_SIGMA_DB)
+            oracles.RAMP_DB, oracles.CAPTURE_SIGMA_DB)
         assert got == want
         assert via_draws == got
         assert g_kernel.bit_generator.state == g_ref.bit_generator.state
@@ -312,8 +306,7 @@ class TestReceptionTable:
         for u in range(links.n):
             for v in range(links.n):
                 rx = CFG.tx_power_dbm - links.loss_db(u, v)
-                want = reception_probability(rx, CFG.sensitivity_dbm,
-                                             DEFAULT_RAMP_DB)
+                want = reception_probability(rx, CFG.sensitivity_dbm)
                 assert table[u][v] == want
                 assert table[u][v] == links.link_probability(u, v, CFG)
                 assert table[u][v] == table[v][u]
@@ -368,8 +361,8 @@ class TestReceptionTable:
             self, links, expected):
         pairwise = not any(
             0.0 < reception_probability(
-                CFG.tx_power_dbm - links.loss_db(a, b), CFG.sensitivity_dbm,
-                DEFAULT_RAMP_DB) < 1.0
+                CFG.tx_power_dbm - links.loss_db(a, b), CFG.sensitivity_dbm)
+            < 1.0
             for a in range(links.n) for b in range(a + 1, links.n))
         assert pairwise is expected
-        assert links.all_links_deterministic(range(links.n), CFG) is expected
+        assert links.all_links_deterministic(CFG) is expected

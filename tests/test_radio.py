@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ewansim.engine import RandomStreams
 from ewansim.links import LinkMatrix
 from ewansim.radio import (
-    ConcurrentAttempt,
     RadioConfig,
     reception_probability,
     resolve_concurrent,
@@ -18,6 +17,7 @@ from ewansim.radio import (
 )
 
 import oracles
+from oracles import ConcurrentAttempt
 
 
 def lora_cfg(sf: int = 7, bw: float = 125e3, **kw) -> RadioConfig:
@@ -160,14 +160,10 @@ class TestLinkModel:
         assert reception_probability(-124.1, -124.0) == 0.0
 
     def test_ramp_top(self):
-        assert reception_probability(-122.0, -124.0, 2.0) == 1.0
+        assert reception_probability(-122.0, -124.0) == 1.0
 
     def test_ramp_midpoint(self):
-        assert reception_probability(-123.0, -124.0, 2.0) == 0.5
-
-    def test_ramp_requires_positive_width(self):
-        with pytest.raises(ValueError):
-            reception_probability(-100.0, -124.0, 0.0)
+        assert reception_probability(-123.0, -124.0) == 0.5
 
     @given(
         rx=st.floats(min_value=-160, max_value=-80),
@@ -175,8 +171,8 @@ class TestLinkModel:
     )
     @settings(max_examples=200, deadline=None)
     def test_reception_monotone_in_power(self, rx, step):
-        lo = reception_probability(rx, -124.0, 2.0)
-        hi = reception_probability(rx + step, -124.0, 2.0)
+        lo = reception_probability(rx, -124.0)
+        hi = reception_probability(rx + step, -124.0)
         assert hi >= lo
 
 
@@ -212,11 +208,11 @@ class TestResolveConcurrent:
         g = self.rng()
         att = [ConcurrentAttempt(packet_id=1, sender=2, rx_power_dbm=-60.0)]
         for _ in range(50):
-            assert resolve_concurrent(att, self.SENS, self.RAMP, self.SIGMA, g) == 1
+            assert resolve_concurrent(att, self.SENS, g) == 1
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            resolve_concurrent([], self.SENS, self.RAMP, self.SIGMA, self.rng())
+            resolve_concurrent([], self.SENS, self.rng())
 
     def test_equal_power_pair_splits_evenly(self):
         g = self.rng(7)
@@ -227,7 +223,7 @@ class TestResolveConcurrent:
         n = 40_000
         wins = {1: 0, 2: 0, None: 0}
         for _ in range(n):
-            wins[resolve_concurrent(atts, self.SENS, self.RAMP, self.SIGMA, g)] += 1
+            wins[resolve_concurrent(atts, self.SENS, g)] += 1
         # each captured with probability 1/2 x reception(=1 here)
         assert wins[None] == 0
         assert abs(wins[1] / n - 0.5) < 0.01
@@ -241,7 +237,7 @@ class TestResolveConcurrent:
         ]
         n = 20_000
         strong = sum(
-            resolve_concurrent(atts, self.SENS, self.RAMP, self.SIGMA, g) == 1
+            resolve_concurrent(atts, self.SENS, g) == 1
             for _ in range(n)
         )
         assert strong / n >= 0.985
@@ -257,7 +253,7 @@ class TestResolveConcurrent:
         n = 100_000
         counts = {1: 0, 2: 0, None: 0}
         for _ in range(n):
-            counts[resolve_concurrent(atts, self.SENS, self.RAMP, self.SIGMA, g)] += 1
+            counts[resolve_concurrent(atts, self.SENS, g)] += 1
         assert abs(counts[1] / n - want[0]) < 0.01
         assert abs(counts[2] / n - want[1]) < 0.01
         assert abs(counts[None] / n - want[2]) < 0.01
@@ -271,7 +267,7 @@ class TestResolveConcurrent:
             ConcurrentAttempt(9, 3, -95.0),
         ]
         for _ in range(100):
-            assert resolve_concurrent(atts, self.SENS, self.RAMP, self.SIGMA, g) == 9
+            assert resolve_concurrent(atts, self.SENS, g) == 9
 
     @given(case=capture_cases())
     @example(case=([ConcurrentAttempt(2, 0, -70.0),
@@ -291,10 +287,8 @@ class TestResolveConcurrent:
         for _ in range(4):  # a few draws deep into each stream
             want = oracles.reference_resolve_concurrent(
                 attempts, self.SENS, self.RAMP, self.SIGMA, g_ref)
-            assert resolve_concurrent(
-                attempts, self.SENS, self.RAMP, self.SIGMA, g) == want
-            assert resolve_concurrent(
-                plain, self.SENS, self.RAMP, self.SIGMA, g_plain) == want
+            assert resolve_concurrent(attempts, self.SENS, g) == want
+            assert resolve_concurrent(plain, self.SENS, g_plain) == want
         assert g.bit_generator.state == g_ref.bit_generator.state
         assert g_plain.bit_generator.state == g_ref.bit_generator.state
 
@@ -307,7 +301,7 @@ class TestResolveConcurrent:
             ConcurrentAttempt(4, 4, -95.0),
         ]
         outcomes = {
-            resolve_concurrent(atts, self.SENS, self.RAMP, self.SIGMA, g)
+            resolve_concurrent(atts, self.SENS, g)
             for _ in range(2000)
         }
         assert outcomes <= {1, None}

@@ -26,6 +26,7 @@ from ewansim.scenario import (
     verify_scenario,
 )
 
+import oracles
 from oracles import bfs_depths, edges_from_losses
 
 KINDS = ("ob", "bn", "fh", "mh")
@@ -240,6 +241,43 @@ class TestDeepNodeTraces:
         with pytest.raises(ScenarioError):
             build_scenario("ob", rho=0.0, stream=np.random.default_rng(6),
                            special_deep=True)
+
+
+class TestTracesMatchReference:
+    """The one-array recipe against the per-sample generators it replaced:
+    equal samples bit for bit, and the stream left in the same state."""
+
+    @staticmethod
+    def _check(make, reference, seed):
+        g, g_ref = (np.random.default_rng(seed) for _ in range(2))
+        got, want = make(g), reference(g_ref)
+        assert list(got) == list(want)
+        for n, trace in want.items():
+            assert got[n].samples.tobytes() == trace.samples.tobytes()
+            assert got[n].resolution_s == trace.resolution_s
+        assert g.bit_generator.state == g_ref.bit_generator.state
+
+    @pytest.mark.parametrize("sigma", (0.0, 0.1))
+    @pytest.mark.parametrize("days", (1, 3))
+    @pytest.mark.parametrize("n", (1, 4, 15))
+    @pytest.mark.parametrize("rho", (0.0, 0.5, 1.0))
+    def test_copula_traces(self, rho, n, days, sigma):
+        gen = TraceGenParams(rho=rho, days=days, noise_sigma=sigma)
+        self._check(lambda g: generate_traces(gen, n, g),
+                    lambda g: oracles.reference_generate_traces(gen, n, g),
+                    seed=n * 10 + days)
+
+    @pytest.mark.parametrize("sigma", (0.0, 0.1))
+    @pytest.mark.parametrize("days", (1, 3))
+    def test_deep_tier_traces(self, days, sigma):
+        # near (depth 1), deep (2 and 4) and unreachable (-1) nodes
+        depths = {2: 1, 3: -1, 5: 2, 6: 4, 7: 1}
+        gen = TraceGenParams(rho=0.0, days=days, noise_sigma=sigma,
+                             special_deep=True)
+        self._check(lambda g: special_mh_traces(gen, depths, g),
+                    lambda g: oracles.reference_special_mh_traces(
+                        gen, depths, g),
+                    seed=days)
 
 
 class TestBuildAndVerify:
