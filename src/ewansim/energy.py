@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import SimulationError
+from .engine import SimulationError, check_fields
 
 # clock slack: an advance to within this many seconds of the clock books
 # nothing
@@ -50,14 +50,14 @@ class EnergyParams:
     charge_efficiency: float = 1.0
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("e_boot", "e_com_init", "p_boot", "p_sleep", "p_idle",
                      "start_threshold", "sample_interval"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 < self.buck_efficiency <= 1.0:
-            raise ValueError("buck_efficiency must be in (0, 1]")
-        if not 0.0 < self.charge_efficiency <= 1.0:
-            raise ValueError("charge_efficiency must be in (0, 1]")
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("buck_efficiency", "charge_efficiency"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1]")
 
 
 class HarvestTrace:

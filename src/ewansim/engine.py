@@ -13,6 +13,7 @@ exact and runs bit-for-bit reproducible.
 """
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from typing import Any, Callable
@@ -25,6 +26,42 @@ US_PER_S = 1_000_000
 class SimulationError(Exception):
     """Internal inconsistency in engine or protocol state (a bug, not a
     modeled failure)."""
+
+
+def _real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# per annotation: what a value must be, its test, and the form it is stored in
+_FIELD_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int, int),
+    "float": ("a finite number", _real, float),
+    "bool": ("true or false", lambda v: type(v) is bool, bool),
+    "Tuple[float, float]": (
+        "a pair of finite numbers",
+        lambda v: type(v) in (tuple, list) and len(v) == 2 and all(
+            map(_real, v)),
+        lambda v: tuple(map(float, v))),
+}
+
+
+def check_fields(obj) -> None:
+    """Check a dataclass's int, float, bool and Tuple[float, float] fields
+    by their string annotations, with None allowed where Optional, and
+    store floats as float and pairs as tuples of floats. Other fields are
+    skipped. Raises ValueError naming the first field that fails."""
+    for f in dataclasses.fields(obj):
+        kind, value = f.type, getattr(obj, f.name)
+        if kind.startswith("Optional["):
+            if value is None:
+                continue
+            kind = kind[len("Optional["):-1]
+        if kind in _FIELD_KINDS:
+            what, ok, store = _FIELD_KINDS[kind]
+            if not ok(value):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            object.__setattr__(obj, f.name, store(value))
 
 
 def to_us(seconds: float) -> int:

@@ -80,16 +80,9 @@ def simulate_flood(
     """
     if initiator not in participants:
         raise ValueError("initiator must be a participant")
-    return _run_flood(
-        {initiator: initiator},
-        payload_bytes,
-        participants,
-        links,
-        config,
-        hops,
-        retransmissions,
-        stream,
-    )
+    return simulate_contention_flood(
+        {initiator: initiator}, payload_bytes, participants, links, config,
+        hops, retransmissions, stream)
 
 
 def simulate_contention_flood(
@@ -113,28 +106,6 @@ def simulate_contention_flood(
         raise ValueError("contention flood requires at least one initiator")
     if not set(initiators) <= participants:
         raise ValueError("initiators must be participants")
-    return _run_flood(
-        dict(initiators),
-        payload_bytes,
-        participants,
-        links,
-        config,
-        hops,
-        retransmissions,
-        stream,
-    )
-
-
-def _run_flood(
-    holders: dict[int, int],
-    payload_bytes: int,
-    participants: AbstractSet[int],
-    links: LinkMatrix,
-    config: RadioConfig,
-    hops: int,
-    retransmissions: int,
-    stream: np.random.Generator | Draws,
-) -> FloodResult:
     if hops < 1:
         raise ValueError("hops must be >= 1")
     if retransmissions < 0:
@@ -147,7 +118,7 @@ def _run_flood(
 
     reach, sure, senders = links.reach_masks(config)
 
-    payloads = set(holders.values())
+    payloads = set(initiators.values())
     contention = len(payloads) > 1
     listening = node_mask(participants)
     # a node that never receives listens through the whole flood
@@ -159,9 +130,9 @@ def _run_flood(
     waves: list[dict[int, int]] = []
     fronts: list[tuple[int, int, int]] = []
     wave: dict[int, int] = {}
-    for u, pkt in holders.items():
+    for u, pkt in initiators.items():
         wave[pkt] = wave.get(pkt, 0) | 1 << u
-    got = node_mask(holders)
+    got = node_mask(initiators)
     slot = 0
     while True:
         listening &= ~got

@@ -1,10 +1,10 @@
 """Protocol timing, packet sizing, and per-VSN radio configurations."""
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from ..radio import RadioConfig
+from ..engine import check_fields
+from ..radio import MAX_PAYLOAD_BYTES, RadioConfig
 
 # packet payload sizes (bytes)
 SCHEDULE_HEADER_BYTES = 16
@@ -40,23 +40,25 @@ class ProtocolParams:
     backoff_window: float = 60.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "int" and not isinstance(getattr(self, f.name), int):
-                raise ValueError(f"{f.name} must be an integer")
+        check_fields(self)
         if self.p < 1 or self.m < 1:
             raise ValueError("p and m must be >= 1")
-        if not (0 < self.period_t < math.inf and 0 < self.delta_t < math.inf):
-            raise ValueError("period_t and delta_t must be finite and positive")
-        if self.delta_t >= self.period_t:
-            raise ValueError("delta_t must be smaller than period_t")
+        if not 0 < self.delta_t < self.period_t:
+            raise ValueError("delta_t must be positive and smaller than "
+                             "period_t")
         if self.flood_hops < 1 or self.flood_retx < 0:
             raise ValueError("flood geometry out of range")
         if self.sh_retx_host < 0:
             raise ValueError("sh_retx_host must be >= 0")
-        if self.max_data_slots_mh < 1 or self.max_data_slots_sh < 1:
-            raise ValueError("need at least one data slot per round")
-        if not 0 < self.backoff_window < math.inf:
-            raise ValueError("backoff_window must be finite and positive")
+        if not 0 <= self.data_payload <= MAX_PAYLOAD_BYTES:
+            raise ValueError(f"data_payload must be in 0..{MAX_PAYLOAD_BYTES}")
+        # one schedule packet lists every data slot
+        most = (MAX_PAYLOAD_BYTES - SCHEDULE_HEADER_BYTES) // SLOT_ENTRY_BYTES
+        for name in ("max_data_slots_mh", "max_data_slots_sh"):
+            if not 1 <= getattr(self, name) <= most:
+                raise ValueError(f"{name} must be in 1..{most}")
+        if self.backoff_window <= 0:
+            raise ValueError("backoff_window must be positive")
 
     @property
     def schedule_payload_mh(self) -> int:

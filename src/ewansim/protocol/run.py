@@ -392,8 +392,8 @@ class ProtocolRun:
         if (scenario.links_multi_hop.n != n_nodes + 1
                 or scenario.links_single_hop.n != n_nodes + 1):
             raise ValueError("link matrices must cover host + n_nodes")
-        if not 0 < horizon_s < float("inf"):
-            raise ValueError("horizon must be finite and positive")
+        if horizon_s <= 0:
+            raise ValueError("horizon must be positive")
         self.protocol = protocol
         self.n_nodes = n_nodes
         self.nodes = tuple(range(1, n_nodes + 1))
@@ -415,8 +415,6 @@ class ProtocolRun:
             eparams = replace(eparams, start_threshold=_MHB_START_THRESHOLD_J)
         self.eparams = eparams
         self.initial_charge_j = initial_charge_j
-        if initial_charge_j > storage_b:
-            raise ValueError("initial charge exceeds storage capacity")
 
         self.accounts: dict[int, NodeAccount] = {}
         for n in self.nodes:

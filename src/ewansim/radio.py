@@ -11,9 +11,11 @@ milliwatts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
+
+from .engine import check_fields
 
 # supply power drawn from the node's regulated rail while transmitting,
 # keyed by configured output power (dBm) -> watts
@@ -29,6 +31,9 @@ RX_SUPPLY_W = {
     "lora": 0.0158,
     "fsk": 0.0164,
 }
+
+# the largest payload a packet's one length byte can announce
+MAX_PAYLOAD_BYTES = 255
 
 RAMP_DB = 2.0
 CAPTURE_SIGMA_DB = 3.0
@@ -62,14 +67,7 @@ class RadioConfig:
     explicit_header: bool = True
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if "int" in f.type and v is not None and not isinstance(v, int):
-                raise ValueError(f"{f.name} must be an integer, got {v!r}")
-            if f.type == "bool" and type(v) is not bool:
-                raise ValueError(f"{f.name} must be true or false, got {v!r}")
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v!r}")
+        check_fields(self)
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be positive")
         if self.modulation == "lora":
@@ -108,7 +106,7 @@ def time_on_air(config: RadioConfig, payload_bytes: int) -> float:
     optimization whenever the symbol time exceeds 16 ms. FSK is byte-linear:
     (preamble + sync + length + payload + crc) * 8 / datarate.
     """
-    if payload_bytes < 0 or payload_bytes > 255:
+    if not 0 <= payload_bytes <= MAX_PAYLOAD_BYTES:
         raise ValueError(f"payload out of range: {payload_bytes}")
     if config.modulation == "fsk":
         frame_bytes = (

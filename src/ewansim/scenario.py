@@ -20,6 +20,7 @@ import numpy as np
 import yaml
 
 from .energy import EnergyParams, HarvestTrace
+from .engine import check_fields
 from .links import LinkMatrix
 from .radio import RAMP_DB, RadioConfig, normal_cdf
 from .protocol.params import ProtocolParams, VsnConfigs, default_vsn_configs
@@ -71,26 +72,24 @@ class TraceGenParams:
     deep_window_extension_h: float = 3.0
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.rho <= 1.0:
             raise ScenarioError(f"rho must lie in [0, 1], got {self.rho}")
-        if type(self.days) is not int:
-            raise ScenarioError(f"days must be an integer, got {self.days!r}")
         if self.days < 1:
             raise ScenarioError("need at least one day of traces")
-        if type(self.special_deep) is not bool:
-            raise ScenarioError(f"special_deep must be true or false, got "
-                                f"{self.special_deep!r}")
         lo, hi = self.e_avg_range_j
         if not 0 < lo <= hi:
             raise ScenarioError("daily energy range must be positive and ordered")
-        if not self.start_window_h[0] <= self.start_window_h[1]:
-            raise ScenarioError("start window must be ordered")
-        if not self.end_window_h[0] <= self.end_window_h[1]:
-            raise ScenarioError("end window must be ordered")
-        if self.start_window_h[1] >= self.end_window_h[0]:
-            raise ScenarioError("start window must end before end window begins")
+        (s0, s1), (e0, e1) = self.start_window_h, self.end_window_h
+        if not 0.0 <= s0 <= s1 < e0 <= e1 <= 24.0:
+            raise ScenarioError("start_window_h and end_window_h must be "
+                                "ordered hours in [0, 24], start before end")
         if self.noise_sigma < 0:
             raise ScenarioError("noise_sigma must be non-negative")
+        if self.deep_energy_factor <= 0:
+            raise ScenarioError("deep_energy_factor must be positive")
+        if self.deep_window_extension_h < 0:
+            raise ScenarioError("deep_window_extension_h must be non-negative")
 
 
 def _day_at(gen: TraceGenParams, u) -> Tuple:
@@ -314,6 +313,7 @@ class Scenario:
     bottleneck: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
+        check_fields(self)
         if (self.traces is None) == (self.trace_gen is None):
             raise ScenarioError(
                 "exactly one of fixed traces or a trace recipe is required")
@@ -332,12 +332,11 @@ class Scenario:
 def verify_scenario(scenario: Scenario) -> List[str]:
     """Check every structural contract; returns violation descriptions."""
     out: List[str] = []
-    if not 0.0 < scenario.horizon_s < math.inf:
-        out.append(f"horizon_s must be finite and positive, got "
-                   f"{scenario.horizon_s}")
+    if scenario.horizon_s <= 0.0:
+        out.append(f"horizon_s must be positive, got {scenario.horizon_s}")
     cap = scenario.storage_capacity_j
-    if not 0.0 < cap < math.inf:
-        out.append(f"storage_capacity_j must be finite and positive, got {cap}")
+    if cap <= 0.0:
+        out.append(f"storage_capacity_j must be positive, got {cap}")
     elif not 0.0 <= scenario.initial_charge_j <= cap:
         out.append(f"initial_charge_j must lie in [0, {cap}], got "
                    f"{scenario.initial_charge_j}")
@@ -417,8 +416,6 @@ def verify_scenario(scenario: Scenario) -> List[str]:
                 out.append(f"missing harvesting trace for node {v}")
                 continue
             tr = scenario.traces[v]
-            if np.any(tr.samples < 0):
-                out.append(f"trace for node {v} has negative power samples")
             span = tr.samples.size * tr.resolution_s
             if span < scenario.horizon_s:
                 out.append(f"trace for node {v} covers {span:.0f} s but the "
@@ -529,12 +526,6 @@ def _to_dict(obj) -> dict:
     return asdict(obj, dict_factory=lambda items: {
         k: list(v) if isinstance(v, tuple) else v
         for k, v in items if v is not None})
-
-
-def _from_dict(cls, d: dict):
-    """The inverse of _to_dict for a flat config dataclass."""
-    return cls(**{k: tuple(v) if isinstance(v, list) else v
-                  for k, v in dict(d).items()})
 
 
 # the top-level keys and VSN radio keys save_scenario writes; load_scenario
@@ -652,14 +643,9 @@ def load_scenario(path: str) -> Scenario:
                                 f"supported; this version reads format 1")
         _reject_unknown(path, "top-level", doc, _SCENARIO_KEYS)
         _reject_unknown(path, "radio", doc["radio"], _VSN_KEYS)
-        n_nodes = doc["n_nodes"]
-        if type(n_nodes) is not int:
-            raise ScenarioError(f"{path}: n_nodes must be an integer, got "
-                                f"{n_nodes!r}")
         short = np.asarray(doc["links_multi_hop"], dtype=float)
         long_range = np.asarray(doc["links_single_hop"], dtype=float)
         traces = None
-        trace_gen = None
         if "traces" in doc:
             if not isinstance(doc["traces"], dict):
                 raise ScenarioError(
@@ -667,22 +653,21 @@ def load_scenario(path: str) -> Scenario:
                     f"ids to trace files")
             traces = {int(node): _read_trace_csv(os.path.join(base, rel))
                       for node, rel in doc["traces"].items()}
-        if "trace_gen" in doc:
-            trace_gen = _from_dict(TraceGenParams, doc["trace_gen"])
         scenario = Scenario(
             kind=doc["kind"],
-            n_nodes=n_nodes,
-            links_multi_hop=LinkMatrix(n_nodes + 1, short),
-            links_single_hop=LinkMatrix(n_nodes + 1, long_range),
+            n_nodes=doc["n_nodes"],
+            links_multi_hop=LinkMatrix(len(short), short),
+            links_single_hop=LinkMatrix(len(long_range), long_range),
             params=ProtocolParams(**doc["params"]),
             vsn_configs=VsnConfigs(**{
                 vsn: RadioConfig(**doc["radio"][vsn]) for vsn in _VSN_KEYS}),
             energy_params=EnergyParams(**doc["energy"]),
-            horizon_s=float(doc["horizon_s"]),
-            storage_capacity_j=float(doc["storage_capacity_j"]),
-            initial_charge_j=float(doc["initial_charge_j"]),
+            horizon_s=doc["horizon_s"],
+            storage_capacity_j=doc["storage_capacity_j"],
+            initial_charge_j=doc["initial_charge_j"],
             traces=traces,
-            trace_gen=trace_gen,
+            trace_gen=(TraceGenParams(**doc["trace_gen"])
+                       if "trace_gen" in doc else None),
             bottleneck=tuple(doc["bottleneck"]) if "bottleneck" in doc else None,
         )
     except ScenarioError:

@@ -289,9 +289,10 @@ class TestVerifyCommand:
         self._assert_error_line(capsys, str(scen), tmp_path,
                                 "node01.csv: line 5:")
 
-    # horizon and storage values that no run can use, and a node count
-    # that verify once truncated; the fixed traces leave no trace-span
-    # check that would catch them by accident
+    # horizon and storage values that no run can use, a node count that
+    # verify once truncated, and a string or a bool that once loaded as a
+    # number; the fixed traces leave no trace-span check that would catch
+    # them by accident
     @pytest.mark.parametrize("field, value", [
         ("horizon_s", float("nan")),
         ("horizon_s", float("inf")),
@@ -299,6 +300,9 @@ class TestVerifyCommand:
         ("initial_charge_j", -0.1),
         ("storage_capacity_j", float("nan")),
         ("n_nodes", 15.9),
+        ("horizon_s", "86400"),
+        ("storage_capacity_j", True),
+        ("initial_charge_j", "0.1"),
     ])
     def test_out_of_range_scalar_is_an_error_line(self, tmp_path, capsys,
                                                   field, value):
@@ -314,7 +318,10 @@ class TestVerifyCommand:
     # supply draw, a fractional day count, and verify itself on a zero
     # bandwidth or datarate), write nan energies (p_idle), treat a
     # fraction as a count (p) or a quoted word as true (special_deep,
-    # has_crc, explicit_header)
+    # has_crc, explicit_header); then a bool taken as a number, a
+    # non-finite recipe value, a harvest window outside the day (a
+    # negative start index, or a window cut at midnight), deep nodes
+    # that harvest nothing, and payloads past the 255 bytes a packet holds
     @pytest.mark.parametrize("section, field, value", [
         ("energy", "sample_interval", float("nan")),
         ("energy", "p_idle", float("nan")),
@@ -332,6 +339,19 @@ class TestVerifyCommand:
         ("trace_gen", "special_deep", "no"),
         ("radio.single_hop", "has_crc", "no"),
         ("radio.multi_hop", "explicit_header", "yes"),
+        ("energy", "p_idle", True),
+        ("params", "p", True),
+        ("radio.multi_hop", "preamble_bytes", True),
+        ("radio.single_hop", "center_frequency_hz", True),
+        ("trace_gen", "rho", True),
+        ("trace_gen", "noise_sigma", float("nan")),
+        ("trace_gen", "e_avg_range_j", [1, float("inf")]),
+        ("trace_gen", "start_window_h", [-30, 10]),
+        ("trace_gen", "end_window_h", [16, 30]),
+        ("trace_gen", "deep_energy_factor", 0),
+        ("trace_gen", "deep_window_extension_h", -8),
+        ("params", "data_payload", 300),
+        ("params", "max_data_slots_mh", 250),
     ])
     def test_invalid_parameter_is_an_error_line(self, tmp_path, capsys,
                                                 section, field, value):

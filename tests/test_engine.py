@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,9 @@ from ewansim.engine import (
     draw_uniform,
     to_us,
 )
+from ewansim.energy import EnergyParams
+from ewansim.protocol.params import ProtocolParams, default_vsn_configs
+from ewansim.scenario import TraceGenParams, case_study_scenario
 
 
 def noop() -> None:
@@ -174,3 +180,74 @@ def test_queue_processes_any_batch_in_time_order(times):
     assert [(now, i) for now, _, i in seen] == sorted(
         (t, i) for i, t in enumerate(times))
     assert all(now == t for now, t, _ in seen)
+
+
+# -- check_fields over every scenario dataclass -----------------------------
+
+# the annotations check_fields checks, and the wrong values each must refuse
+_WRONG = {
+    "int": (True, "1", math.nan, math.inf, 1.5),
+    "float": (True, "1", math.nan, math.inf),
+    "bool": ("1", 1, math.nan, math.inf),
+    "Tuple[float, float]": (True, "1", math.nan, math.inf, [1.0],
+                            [1.0, math.nan]),
+}
+# annotations check_fields leaves to the class itself or to
+# verify_scenario: names, nested configs, link matrices and fixed traces
+_NOT_SCALAR = {
+    "str", "LinkMatrix", "ProtocolParams", "VsnConfigs", "EnergyParams",
+    "Optional[Dict[int, HarvestTrace]]", "Optional[TraceGenParams]",
+    "Optional[Tuple[int, int]]",
+}
+
+
+def _scenario_configs():
+    """One valid instance of each class that calls check_fields."""
+    return (default_vsn_configs().multi_hop, ProtocolParams(),
+            EnergyParams(), TraceGenParams(rho=0.5), case_study_scenario())
+
+
+def _checked_fields():
+    for obj in _scenario_configs():
+        for f in dataclasses.fields(obj):
+            kind = f.type
+            if kind.startswith("Optional[") and kind not in _NOT_SCALAR:
+                kind = kind[len("Optional["):-1]
+            yield obj, f.name, kind
+
+
+class TestCheckFields:
+    def test_every_annotation_is_checked_or_listed(self):
+        # a field with a new annotation must join the rule or the list
+        for obj, name, kind in _checked_fields():
+            assert kind in _WRONG or kind in _NOT_SCALAR, (
+                f"{type(obj).__name__}.{name}: {kind}")
+
+    def test_wrong_values_are_refused_by_name(self):
+        n = 0
+        for obj, name, kind in _checked_fields():
+            for bad in _WRONG.get(kind, ()):
+                with pytest.raises(ValueError, match=rf"^{name} must be"):
+                    dataclasses.replace(obj, **{name: bad})
+                n += 1
+        assert n > 150
+
+    def test_an_int_is_stored_as_a_float(self):
+        # so horizon_s: 86400 loads, runs and writes as 86400.0 does
+        n = 0
+        for obj, name, kind in _checked_fields():
+            value = getattr(obj, name)
+            if kind == "float" and value == int(value):
+                got = getattr(dataclasses.replace(obj, **{name: int(value)}),
+                              name)
+                assert type(got) is float and got == value, name
+                n += 1
+            elif kind == "Tuple[float, float]":
+                ints = [int(value[0]), int(value[1])]
+                if ints == list(value):
+                    got = getattr(dataclasses.replace(obj, **{name: ints}),
+                                  name)
+                    assert type(got) is tuple, name
+                    assert all(type(x) is float for x in got), name
+                    n += 1
+        assert n >= 15
