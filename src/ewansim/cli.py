@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -14,8 +15,8 @@ from .campaign import run_campaign, write_campaign_csvs
 from .metrics import (compute_all_metrics, write_events_log, write_metrics_csv,
                       write_rounds_csv)
 from .protocol.run import PROTOCOLS, simulate_run
-from .scenario import (ScenarioError, TOPOLOGY_KINDS, build_scenario,
-                       case_study_scenario, load_scenario, save_scenario)
+from .scenario import (TOPOLOGY_KINDS, build_scenario, case_study_scenario,
+                       load_scenario, save_scenario)
 
 OUT_ENV = "EWANSIM_OUT"
 
@@ -80,8 +81,7 @@ def _cmd_scenario_gen(args) -> int:
         if args.fixed_traces:
             traces = scenario.traces_for_run(
                 RandomStreams(args.seed, 0).stream("traces"))
-            scenario.traces = traces
-            scenario.trace_gen = None
+            scenario = replace(scenario, traces=traces, trace_gen=None)
     path = save_scenario(scenario, out)
     print(path)
     return 0
@@ -143,7 +143,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_campaign(args)
         if args.command == "verify":
             return _cmd_verify(args)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -33,24 +33,31 @@ def _real(value) -> bool:
             and math.isfinite(value))
 
 
+def _int(value) -> bool:
+    return type(value) is int
+
+
+def _pair(ok):
+    return lambda v: type(v) in (tuple, list) and len(v) == 2 and all(
+        map(ok, v))
+
+
 # per annotation: what a value must be, its test, and the form it is stored in
 _FIELD_KINDS = {
-    "int": ("an integer", lambda v: type(v) is int, int),
+    "int": ("an integer", _int, int),
     "float": ("a finite number", _real, float),
     "bool": ("true or false", lambda v: type(v) is bool, bool),
-    "Tuple[float, float]": (
-        "a pair of finite numbers",
-        lambda v: type(v) in (tuple, list) and len(v) == 2 and all(
-            map(_real, v)),
-        lambda v: tuple(map(float, v))),
+    "Tuple[float, float]": ("a pair of finite numbers", _pair(_real),
+                            lambda v: tuple(map(float, v))),
+    "Tuple[int, int]": ("a pair of integers", _pair(_int), tuple),
 }
 
 
 def check_fields(obj) -> None:
-    """Check a dataclass's int, float, bool and Tuple[float, float] fields
-    by their string annotations, with None allowed where Optional, and
-    store floats as float and pairs as tuples of floats. Other fields are
-    skipped. Raises ValueError naming the first field that fails."""
+    """Check a dataclass's int, float, bool and pair fields by their string
+    annotations, with None allowed where Optional, and store floats as
+    float and pairs as tuples. Other fields are skipped. Raises ValueError
+    naming the first field that fails."""
     for f in dataclasses.fields(obj):
         kind, value = f.type, getattr(obj, f.name)
         if kind.startswith("Optional["):

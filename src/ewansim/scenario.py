@@ -43,7 +43,7 @@ LONG_HOST_CAP_DB = 130.0
 COORD_JITTER_M = 5.0
 
 
-class ScenarioError(Exception):
+class ScenarioError(ValueError):
     """A scenario failed validation or could not be loaded."""
 
 
@@ -294,9 +294,12 @@ def hop_depths(links: LinkMatrix, config: RadioConfig,
 # the scenario bundle
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Everything one run needs, minus the protocol choice and the seed."""
+    """Everything one run needs, minus the protocol choice and the seed.
+
+    Every Scenario has passed check_fields and verify_scenario: building
+    one that fails either raises."""
 
     kind: str
     n_nodes: int
@@ -314,9 +317,9 @@ class Scenario:
 
     def __post_init__(self):
         check_fields(self)
-        if (self.traces is None) == (self.trace_gen is None):
-            raise ScenarioError(
-                "exactly one of fixed traces or a trace recipe is required")
+        problems = verify_scenario(self)
+        if problems:
+            raise ScenarioError("; ".join(problems))
 
     def hop_depths(self) -> Dict[int, int]:
         return hop_depths(self.links_multi_hop, self.vsn_configs.multi_hop)
@@ -331,6 +334,8 @@ class Scenario:
 
 def verify_scenario(scenario: Scenario) -> List[str]:
     """Check every structural contract; returns violation descriptions."""
+    if (scenario.traces is None) == (scenario.trace_gen is None):
+        return ["exactly one of fixed traces or a trace recipe is required"]
     out: List[str] = []
     if scenario.horizon_s <= 0.0:
         out.append(f"horizon_s must be positive, got {scenario.horizon_s}")
@@ -347,6 +352,9 @@ def verify_scenario(scenario: Scenario) -> List[str]:
     if scenario.links_multi_hop.n != n + 1 or scenario.links_single_hop.n != n + 1:
         out.append(f"link matrices must be {n + 1}x{n + 1} including the host")
         return out
+    pair = scenario.bottleneck
+    if pair is not None and not all(1 <= v <= n for v in pair):
+        out.append(f"bottleneck pair {list(pair)} must name nodes in 1..{n}")
 
     cfg_long = scenario.vsn_configs.single_hop
     budget_long = cfg_long.tx_power_dbm - cfg_long.sensitivity_dbm
@@ -425,14 +433,15 @@ def verify_scenario(scenario: Scenario) -> List[str]:
         if span < scenario.horizon_s:
             out.append(f"trace recipe covers {span:.0f} s but the horizon "
                        f"is {scenario.horizon_s:.0f} s")
+        if scenario.trace_gen.special_deep and kind != "mh":
+            out.append("special_deep must be false: deep-node trace "
+                       "shaping is defined for mh only")
     return out
 
 
 def build_scenario(kind: str, rho: float, stream: np.random.Generator,
                    days: int = 7, special_deep: bool = False) -> Scenario:
     """One of the four evaluation scenarios with a generated trace recipe."""
-    if special_deep and kind != "mh":
-        raise ScenarioError("deep-node trace shaping is defined for mh only")
     topo = generate_topology(kind, stream)
     gen = TraceGenParams(rho=rho, days=days, special_deep=special_deep)
     if special_deep:
@@ -442,7 +451,7 @@ def build_scenario(kind: str, rho: float, stream: np.random.Generator,
         lo, hi = gen.e_avg_range_j
         gen = replace(gen, e_avg_range_j=(lo / gen.deep_energy_factor,
                                           hi / gen.deep_energy_factor))
-    scenario = Scenario(
+    return Scenario(
         kind=kind,
         n_nodes=topo.links_multi_hop.n - 1,
         links_multi_hop=topo.links_multi_hop,
@@ -454,10 +463,6 @@ def build_scenario(kind: str, rho: float, stream: np.random.Generator,
         trace_gen=gen,
         bottleneck=topo.bottleneck,
     )
-    problems = verify_scenario(scenario)
-    if problems:
-        raise ScenarioError("; ".join(problems))
-    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +542,10 @@ _SCENARIO_KEYS = frozenset((
 _VSN_KEYS = ("bootstrap", "single_hop", "multi_hop")
 
 
-def _reject_unknown(path: str, what: str, doc: dict, known):
+def _reject_unknown(what: str, doc: dict, known):
     unknown = sorted(str(key) for key in doc if key not in known)
     if unknown:
-        raise ScenarioError(f"{path}: unknown {what} keys: "
-                            f"{', '.join(unknown)}")
+        raise ScenarioError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 def save_scenario(scenario: Scenario, out_dir: str) -> str:
@@ -624,36 +628,35 @@ def _read_trace_csv(path: str) -> HarvestTrace:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Load and validate a scenario; raises ScenarioError naming any violation."""
+    """Load a scenario file; raises ScenarioError naming the file and
+    every violation."""
     if os.path.isdir(path):
         path = os.path.join(path, "scenario.yaml")
     if not os.path.exists(path):
         raise ScenarioError(f"no such scenario file: {path}")
-    with open(path) as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(
-                f"malformed scenario file {path}: {exc}") from exc
     base = os.path.dirname(path)
     try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
         fmt = doc["format"] if "format" in doc else "missing"
         if type(fmt) is not int or fmt != 1:
-            raise ScenarioError(f"{path}: scenario format {fmt} is not "
-                                f"supported; this version reads format 1")
-        _reject_unknown(path, "top-level", doc, _SCENARIO_KEYS)
-        _reject_unknown(path, "radio", doc["radio"], _VSN_KEYS)
+            raise ScenarioError(f"scenario format {fmt} is not supported; "
+                                f"this version reads format 1")
+        _reject_unknown("top-level", doc, _SCENARIO_KEYS)
+        _reject_unknown("radio", doc["radio"], _VSN_KEYS)
         short = np.asarray(doc["links_multi_hop"], dtype=float)
         long_range = np.asarray(doc["links_single_hop"], dtype=float)
         traces = None
         if "traces" in doc:
             if not isinstance(doc["traces"], dict):
-                raise ScenarioError(
-                    f"malformed scenario file {path}: traces must map node "
-                    f"ids to trace files")
-            traces = {int(node): _read_trace_csv(os.path.join(base, rel))
+                raise ScenarioError("traces must map node ids to trace files")
+            bad = [repr(key) for key in doc["traces"] if type(key) is not int]
+            if bad:
+                raise ScenarioError(f"traces keys must be integer node ids, "
+                                    f"got {', '.join(bad)}")
+            traces = {node: _read_trace_csv(os.path.join(base, rel))
                       for node, rel in doc["traces"].items()}
-        scenario = Scenario(
+        return Scenario(
             kind=doc["kind"],
             n_nodes=doc["n_nodes"],
             links_multi_hop=LinkMatrix(len(short), short),
@@ -668,13 +671,7 @@ def load_scenario(path: str) -> Scenario:
             traces=traces,
             trace_gen=(TraceGenParams(**doc["trace_gen"])
                        if "trace_gen" in doc else None),
-            bottleneck=tuple(doc["bottleneck"]) if "bottleneck" in doc else None,
+            bottleneck=doc.get("bottleneck"),
         )
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, yaml.YAMLError) as exc:
         raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
-    problems = verify_scenario(scenario)
-    if problems:
-        raise ScenarioError("; ".join(problems))
-    return scenario

@@ -264,8 +264,8 @@ class TestVerifyCommand:
 
     @staticmethod
     def _assert_error_line(capsys, scen, tmp_path, message):
-        """verify and run both fail with an error: line holding message,
-        and run writes no metrics."""
+        """verify and run both fail with an error: line naming the scenario
+        and holding message, and run writes no metrics."""
         capsys.readouterr()
         for argv in (["verify", "--scenario", scen],
                      ["run", "--scenario", scen, "--protocol", "ewan",
@@ -274,6 +274,7 @@ class TestVerifyCommand:
             err = capsys.readouterr().err
             assert code == 1, argv
             assert err.startswith("error:")
+            assert scen in err
             assert message in err
         assert not os.path.exists(tmp_path / "out" / "metrics.csv")
 
@@ -321,7 +322,8 @@ class TestVerifyCommand:
     # has_crc, explicit_header); then a bool taken as a number, a
     # non-finite recipe value, a harvest window outside the day (a
     # negative start index, or a window cut at midnight), deep nodes
-    # that harvest nothing, and payloads past the 255 bytes a packet holds
+    # that harvest nothing, deep-node shaping outside mh, and payloads
+    # past the 255 bytes a packet holds
     @pytest.mark.parametrize("section, field, value", [
         ("energy", "sample_interval", float("nan")),
         ("energy", "p_idle", float("nan")),
@@ -350,6 +352,7 @@ class TestVerifyCommand:
         ("trace_gen", "end_window_h", [16, 30]),
         ("trace_gen", "deep_energy_factor", 0),
         ("trace_gen", "deep_window_extension_h", -8),
+        ("trace_gen", "special_deep", True),
         ("params", "data_payload", 300),
         ("params", "max_data_slots_mh", 250),
     ])
@@ -369,13 +372,19 @@ class TestVerifyCommand:
         self._assert_error_line(capsys, path, tmp_path, field)
 
     # a file this version cannot read: another format, no format, a key
-    # save_scenario never writes, or a kind with no topology contract
+    # save_scenario never writes, a kind with no topology contract, or a
+    # bottleneck pair that is not two of the scenario's node ids
     @pytest.mark.parametrize("edit, message", [
         ({"format": 7, "horizon_sec": 1.0}, "scenario format 7"),
         ({"format": None}, "scenario format missing"),
         ({"horizon_sec": 1.0}, "unknown top-level keys: horizon_sec"),
         ({"kind": "zz"}, "unknown scenario kind 'zz'"),
-    ], ids=["format-7", "no-format", "stray-key", "kind-zz"])
+        ({"bottleneck": [True, "x"]},
+         "bottleneck must be a pair of integers, got [True, 'x']"),
+        ({"bottleneck": [0, 99]},
+         "bottleneck pair [0, 99] must name nodes in 1..15"),
+    ], ids=["format-7", "no-format", "stray-key", "kind-zz",
+            "bottleneck-types", "bottleneck-range"])
     def test_unreadable_scenario_is_an_error_line(self, tmp_path, capsys,
                                                   edit, message):
         path = gen(tmp_path, "fh", "--kind", "fh", "--seed", "3",
@@ -421,7 +430,8 @@ class TestVerifyCommand:
         assert "traces must map node ids" in err
 
     # faults in a saved case-study scenario that verify once passed, or
-    # reported without naming the field
+    # reported without naming the field; a trace key of 1.7 once loaded
+    # as node 1
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(n_nodes=0, kind="fh", links_multi_hop=[[0.0]],
                                 links_single_hop=[[0.0]]),
@@ -430,7 +440,9 @@ class TestVerifyCommand:
          "unknown radio keys: multihop"),
         (lambda doc: doc["traces"].update({7: doc["traces"][1]}),
          "harvesting traces for nodes [7] outside the scenario's nodes 1..2"),
-    ], ids=["no-nodes", "stray-vsn", "stray-trace"])
+        (lambda doc: doc["traces"].update({1.7: doc["traces"].pop(1)}),
+         "traces keys must be integer node ids, got 1.7"),
+    ], ids=["no-nodes", "stray-vsn", "stray-trace", "float-trace-key"])
     def test_case_study_fault_is_a_named_error_line(self, tmp_path, capsys,
                                                     edit, message):
         path = gen(tmp_path, "case", "--kind", "case-study")

@@ -191,13 +191,13 @@ _WRONG = {
     "bool": ("1", 1, math.nan, math.inf),
     "Tuple[float, float]": (True, "1", math.nan, math.inf, [1.0],
                             [1.0, math.nan]),
+    "Tuple[int, int]": (True, "1", [1], [1.5, 2], [True, 2]),
 }
 # annotations check_fields leaves to the class itself or to
 # verify_scenario: names, nested configs, link matrices and fixed traces
 _NOT_SCALAR = {
     "str", "LinkMatrix", "ProtocolParams", "VsnConfigs", "EnergyParams",
     "Optional[Dict[int, HarvestTrace]]", "Optional[TraceGenParams]",
-    "Optional[Tuple[int, int]]",
 }
 
 

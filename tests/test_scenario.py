@@ -3,7 +3,7 @@ from __future__ import annotations
 import filecmp
 import math
 import os
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from ewansim.scenario import (
 )
 
 import oracles
+from helpers import flat_scenario
 from oracles import bfs_depths, edges_from_losses
 
 KINDS = ("ob", "bn", "fh", "mh")
@@ -299,9 +300,21 @@ class TestBuildAndVerify:
     def test_short_recipe_cannot_cover_a_long_horizon(self):
         sc = build_scenario("fh", rho=0.0, stream=np.random.default_rng(9),
                             days=1)
-        bad = replace(sc, horizon_s=2 * 86400.0)
-        problems = verify_scenario(bad)
-        assert any("horizon" in p for p in problems)
+        with pytest.raises(ScenarioError, match="horizon"):
+            replace(sc, horizon_s=2 * 86400.0)
+
+    def test_short_fixed_traces_cannot_cover_a_long_horizon(self):
+        # built in code, not loaded: the traces end 2,400 s into a
+        # 7,200 s horizon, which a run would book as dark
+        short = flat_scenario(2, horizon_s=1800.0).traces
+        with pytest.raises(ScenarioError, match=(
+                "trace for node 1 covers 2400 s but the horizon is 7200 s")):
+            replace(flat_scenario(2, horizon_s=7200.0), traces=short)
+
+    def test_fields_cannot_be_assigned(self):
+        sc = flat_scenario(2)
+        with pytest.raises(FrozenInstanceError):
+            sc.horizon_s = 7200.0
 
 
 class TestCaseStudyScenario:
@@ -352,11 +365,11 @@ class TestPersistence:
         # lengths of every round on that channel
         sc = build_scenario("fh", rho=0.0, stream=np.random.default_rng(12))
         cfgs = sc.vsn_configs
-        sc.vsn_configs = replace(
+        sc = replace(sc, vsn_configs=replace(
             cfgs,
             single_hop=replace(cfgs.single_hop, coding_rate=4,
                                preamble_symbols=12, explicit_header=False),
-            multi_hop=replace(cfgs.multi_hop, preamble_bytes=6))
+            multi_hop=replace(cfgs.multi_hop, preamble_bytes=6)))
         loaded = load_scenario(save_scenario(sc, str(tmp_path / "fh")))
         assert loaded.vsn_configs == sc.vsn_configs
         assert (time_on_air(loaded.vsn_configs.single_hop, 20)
@@ -434,6 +447,7 @@ class TestPersistence:
         with pytest.raises(ScenarioError, match="bottleneck") as exc:
             load_scenario(path)
         assert str(exc.value) == (
+            f"malformed scenario file {path}: "
             "bn contract: host neighbors [1, 2] are not the designated "
             "bottleneck pair [1, 3]; bn contract: removing the bottleneck "
             "pair leaves [2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15] "
