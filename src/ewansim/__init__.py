@@ -6,8 +6,7 @@ from .metrics import NodeMetrics, compute_all_metrics
 from .protocol.run import PROTOCOLS, RunHooks, RunResult, simulate_run
 from .scenario import (Scenario, ScenarioError, TraceGenParams, build_scenario,
                        case_study_scenario, generate_topology, generate_traces,
-                       load_scenario, save_scenario, special_mh_traces,
-                       verify_scenario)
+                       load_scenario, save_scenario, special_mh_traces)
 
 __all__ = [
     "CampaignResult",
@@ -28,7 +27,6 @@ __all__ = [
     "save_scenario",
     "simulate_run",
     "special_mh_traces",
-    "verify_scenario",
 ]
 
 __version__ = "0.1.0"

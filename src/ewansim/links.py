@@ -59,6 +59,11 @@ class LinkMatrix:
             raise ValueError(
                 f"loss matrix shape {arr.shape} does not match n={self.n}"
             )
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"path loss [{i}][{j}] must be finite, got {arr[i, j]}")
         if np.any(arr < 0.0):
             raise ValueError("path loss entries must be >= 0 dB")
         if not np.allclose(arr, arr.T, atol=1e-9):

@@ -20,21 +20,22 @@ ledgers close exactly: e_in equals storage delta plus energy drawn plus
 clamp waste, to sub-nanojoule error over a week.
 
 Rounds are processed atomically at their start time. One executor,
-ProtocolRun._handle_round, runs every round of both VSNs: it gathers who
-attends in which role, turns the first schedule's reception into
-transitions, then walks the layout's slot plan (data slots, contention,
-second schedule). A transport supplies what differs between the VSNs:
-floods on multi-hop (_FloodTransport), point-to-point exchanges with the
-host on single-hop (_HostTransport). Energy is booked through one
-_RoundAccountant: each node's per-slot radio time is summed into
-[listen, tx, idle] and applied as a few account advances, the idle
-running up to the flush time. A participant
-whose storage is below a conservative worst-case round cost (a whole
-round at transmit power) is fragile: only fragile nodes are flushed at
-each slot end, so a death takes effect between slots and removes the
-node from later slots. Any other node cannot die within the round and
-is flushed once, at the round end. The queue holds plain handler calls,
-and the run records what it does, transitions included, as RunEvents.
+ProtocolRun._handle_round, runs every round of both VSNs through a round
+object: _FloodRound floods the slots on multi-hop, _HostRound exchanges
+them with the host on single-hop, and their base _Round gathers the
+participants and books their energy. Each node's per-slot radio time is
+summed into [listen, tx, idle] and applied as a few account advances. A
+participant whose storage is below a worst-case round cost is fragile
+and is flushed at each slot end, so its death takes effect between
+slots; any other node is flushed once, at the round end.
+
+A round gathers its members, then its entries in ProtocolRun.due, keyed
+by (VSN, round index): synced bootstrappers, hand-overs to the period's
+single-hop round, and every m-th period's multi-hop samplers. An entry
+keeps the node's sync token from its booking and is live while the token
+is unchanged; sync requests and deaths move it on, and _handle_sync
+answers a request by the same rule. The queue holds plain handler calls,
+and the run records what it does as RunEvents.
 """
 from __future__ import annotations
 
@@ -80,32 +81,59 @@ class _ChannelLoads(NamedTuple):
     tx: tuple[float, str]
 
 
-class _RoundAccountant:
-    """Energy of one round's participants, on either VSN.
+class _Round:
+    """One round on either VSN: who attends, and the energy they spend.
 
-    The transport adds each node's radio time to its [listen, tx, idle]
-    cost list; flush() books the list in that order. The executor puts
-    in fragile the participants whose storage is below a worst-case
-    round cost; settle() flushes the live fragile nodes at each slot end,
-    so a death takes effect before the node's next slot. Every other
-    node is flushed once, at the round end.
+    A transport subclass runs the slots and adds each node's radio time to
+    its [listen, tx, idle] cost list; flush() books the list in that
+    order. The executor puts in fragile the participants whose storage is
+    below a worst-case round cost; settle() flushes the live fragile nodes
+    at each slot end, so a death takes effect before the node's next slot.
+    Every other node is flushed once, at the round end.
 
     Pending idle is read only by a flush without end_t, which is how the
     executor books the leavers after the first schedule. Every later
     flush idles up to its end_t, so transports add idle time for the
-    first schedule alone.
+    first schedule alone. Built per round, so the run never holds one.
     """
 
-    def __init__(self, run: "ProtocolRun", record: RoundRecord, tp,
-                 present: list[int]):
+    def __init__(self, run: "ProtocolRun", k: int, rs: float, layout, book,
+                 loads: _ChannelLoads, fragile_j: float):
         self.run = run
-        self.record = record
-        self.tp = tp
-        self.loads = tp.loads
+        self.k = k
+        self.rs = rs
+        self.layout = layout
+        self.book = book
+        self.loads = loads
+        self.fragile_j = fragile_j
+
+    def gather(self) -> list[tuple[int, str]]:
+        """(node, role) of the members, then of the live due entries,
+        each advanced to the round start; the nodes that died on the way
+        are left out."""
+        run = self.run
+        pairs = [(n, "member") for n in run.nodes
+                 if run.nstate[n].vsn is self.state]
+        due = run.due.pop((self.vsn, self.k), None)
+        if due:
+            token = run.sync_token
+            live = [(n, role) for n, role, tok in due if token[n] == tok]
+            # bootstrappers in booking order, then samplers in node order
+            live.sort(key=lambda e: e[0] if e[1] == "sample" else 0)
+            pairs += live
+        alive = run._advance_to([n for n, _ in pairs], self.rs,
+                                run.load_sleep)
+        if len(alive) < len(pairs):
+            alive = set(alive)
+            pairs = [e for e in pairs if e[0] in alive]
+        return pairs
+
+    def begin(self, present: list[int]):
+        """Open the books of the gathered participants."""
+        accounts = self.run.accounts
         self.present = present
         self.costs = {n: [0.0, 0.0, 0.0] for n in present}
-        self.snapshots = {n: run.accounts[n].drawn_snapshot()
-                          for n in present}
+        self.snapshots = {n: accounts[n].drawn_snapshot() for n in present}
         self.fragile: set[int] = set()
 
     def flush(self, n: int, end_t: Optional[float] = None) -> bool:
@@ -135,14 +163,13 @@ class _RoundAccountant:
                 if self.flush(n, t):
                     alive.remove(n)
 
-    def close(self, received: Mapping[int, bool], delivered: set[int],
-              attempted: set[int], n_slots: int):
+    def close(self, record: RoundRecord, received: Mapping[int, bool],
+              delivered: set[int], attempted: set[int], n_slots: int):
         """Feed the deliveries to the book and record every participant."""
         if not delivered <= attempted:
             raise ValueError("cannot deliver more packets than attempted")
-        self.tp.book.observe_round(delivered)
+        self.book.observe_round(delivered)
         accounts = self.run.accounts
-        record = self.record
         for n in self.present:
             b = self.snapshots[n]
             a = accounts[n].drawn_snapshot()
@@ -151,42 +178,27 @@ class _RoundAccountant:
                 1 if n in attempted else 0,
                 a[0] - b[0], a[1] - b[1], a[2] - b[2])
         self.run._event(record.round_start_s, "round", self.run.HOST,
-                        self.tp.tag, record.round_index, n_slots,
+                        self.tag, record.round_index, n_slots,
                         len(self.present), len(delivered))
 
 
-class _FloodTransport:
-    """One multi-hop round's slots as floods, booked into acc.costs.
-    Built per round, so the run never holds a transport."""
+class _FloodRound(_Round):
+    """One multi-hop round, its slots run as floods."""
 
-    vsn, tag = "multi_hop", "mh"
+    vsn, tag, state = "multi_hop", "mh", Vsn.MULTI_HOP
     received_event = TransitionEvent.RECEIVED_MH_SCHEDULE
 
     def __init__(self, run: "ProtocolRun", k: int):
-        self.run = run
-        self.k = k
-        self.rs = run.params.mh_round_start(k)
-        self.layout = run.mh_layout
-        self.book = run.book_mh
-        self.loads = run.load_mh
-        self.fragile_j = run.mh_fragile_j
+        super().__init__(run, k, run.params.mh_round_start(k), run.mh_layout,
+                         run.book_mh, run.load_mh, run.mh_fragile_j)
 
     def gather(self) -> list[tuple[int, str]]:
-        run, k, rs = self.run, self.k, self.rs
-        members = run._advance_to(run.members(Vsn.MULTI_HOP), rs,
-                                  run.load_sleep)
-        boot = [n for n, tok in run.wait_mh.pop(k, [])
-                if run.sync_token.get(n) == tok
-                and run.nstate[n].vsn is Vsn.BOOTSTRAPPING]
-        boot = run._advance_to(boot, rs, run.load_sleep)
-        samp = [n for n in sorted(run.samplers.pop(k, set()))
-                if run.nstate[n].vsn is Vsn.SINGLE_HOP]
-        samp = run._advance_to(samp, rs, run.load_sleep)
-        listen = run._advance_to(sorted(run.mhb_listeners), rs,
+        """The base roles, then the passive listeners of multi_hop."""
+        pairs = super().gather()
+        run = self.run
+        listen = run._advance_to(sorted(run.mhb_listeners), self.rs,
                                  self.loads.listen)
-        roles = (("member", members), ("bootstrap", boot), ("sample", samp),
-                 ("listen", listen))
-        return [(n, role) for role, nodes in roles for n in nodes]
+        return pairs + [(n, "listen") for n in listen]
 
     @staticmethod
     def _book(res: FloodResult, group: Sequence[int],
@@ -203,8 +215,8 @@ class _FloodTransport:
             if span is not None:
                 c[2] += span - r.radio_on_s
 
-    def first_schedule(self, pairs: list[tuple[int, str]],
-                       acc: _RoundAccountant) -> dict[int, bool]:
+    def first_schedule(self,
+                       pairs: list[tuple[int, str]]) -> dict[int, bool]:
         run, lay, k = self.run, self.layout, self.k
         flood_ids = frozenset([run.HOST] + [
             n for n, _ in pairs if not run.hooks.blocked(self.vsn, n, k)])
@@ -217,81 +229,59 @@ class _FloodTransport:
         # a passive listener that heard nothing listens on to the round end
         payers = [n for n, role in pairs if received[n] or role != "listen"]
         if res is not None:
-            self._book(res, [n for n in payers if n in flood_ids], acc.costs,
+            self._book(res, [n for n in payers if n in flood_ids], self.costs,
                        lay.schedule_slot + lay.gap)
         for n in payers:
             if n not in flood_ids:
                 # severed this round: listened to the whole slot for nothing
-                acc.costs[n][0] += lay.schedule_slot
+                self.costs[n][0] += lay.schedule_slot
         return received
 
     def _slot(self, kind: str, initiators: Mapping[int, int], payload: int,
-              alive: list[int], acc: _RoundAccountant):
+              alive: list[int]):
         """Flood one slot among the host and alive; the host's result."""
         run = self.run
         res = run._flood(kind, initiators, frozenset([run.HOST] + alive),
                          payload)
-        self._book(res, alive, acc.costs)
+        self._book(res, alive, self.costs)
         return res.nodes[run.HOST]
 
-    def data(self, owner: int, alive: list[int],
-             acc: _RoundAccountant) -> Optional[bool]:
+    def data(self, owner: int, alive: list[int]) -> Optional[bool]:
         """Whether the host got owner's packet; None if a fragile owner
         cannot afford its own flood."""
         run = self.run
-        if (owner in acc.fragile and run.accounts[owner].e_cap
+        if (owner in self.fragile and run.accounts[owner].e_cap
                 <= run.mh_owner_tx_j):
             return None
         return self._slot("data", {owner: owner}, run.params.data_payload,
-                          alive, acc).received
+                          alive).received
 
-    def contend(self, contenders: list[int], alive: list[int],
-                acc: _RoundAccountant) -> Optional[int]:
+    def contend(self, contenders: list[int],
+                alive: list[int]) -> Optional[int]:
         host = self._slot("cont", {c: c for c in contenders},
-                          CONTENTION_BYTES, alive, acc)
+                          CONTENTION_BYTES, alive)
         return host.packet_id if host.received else None
 
-    def second_schedule(self, alive: list[int], acc: _RoundAccountant):
+    def second_schedule(self, alive: list[int]):
         self._slot("sched", {self.run.HOST: self.run.HOST},
-                   self.run.params.schedule_payload_mh, alive, acc)
+                   self.run.params.schedule_payload_mh, alive)
 
 
-class _HostTransport:
-    """One single-hop round's slots as point-to-point exchanges with the
-    host, booked into acc.costs. Built per round, like _FloodTransport."""
+class _HostRound(_Round):
+    """One single-hop round, its slots run as point-to-point exchanges
+    with the host."""
 
-    vsn, tag = "single_hop", "sh"
+    vsn, tag, state = "single_hop", "sh", Vsn.SINGLE_HOP
     received_event = TransitionEvent.RECEIVED_SH_SCHEDULE
 
     def __init__(self, run: "ProtocolRun", k: int):
-        self.run = run
-        self.k = k
-        self.rs = run.params.sh_round_start(k)
-        self.layout = run.sh_layout
-        self.book = run.book_sh
-        self.loads = run.load_sh
-        self.fragile_j = run.sh_fragile_j
+        super().__init__(run, k, run.params.sh_round_start(k), run.sh_layout,
+                         run.book_sh, run.load_sh, run.sh_fragile_j)
 
-    def gather(self) -> list[tuple[int, str]]:
-        run, rs = self.run, self.rs
-        members = run._advance_to(run.members(Vsn.SINGLE_HOP), rs,
-                                  run.load_sleep)
-        waiters: list[tuple[int, str]] = []
-        for n, reason, tok in run.wait_sh.pop(self.k, []):
-            st = run.nstate[n]
-            if (reason == "bootstrap" and st.vsn is Vsn.BOOTSTRAPPING
-                    and run.sync_token.get(n) == tok
-                    or reason == "mh_exit" and st.vsn is Vsn.MULTI_HOP
-                    and st.missed_schedules >= run.params.p):
-                waiters.append((n, reason))
-        alive = run._advance_to([n for n, _ in waiters], rs, run.load_sleep)
-        return ([(n, "member") for n in members]
-                + [(n, r) for n, r in waiters if n in alive])
-
-    def _hear(self, n: int, c: list[float]) -> bool:
+    def _hear(self, n: int) -> bool:
         """Whether n decodes one of the host's schedule copies. Books its
-        listening into cost list c. No idle: a node that misses the first
-        schedule leaves when its listening ends."""
+        listening into its cost list. No idle: a node that misses the
+        first schedule leaves when its listening ends."""
         run, lay = self.run, self.layout
         got = False
         listen_s = lay.schedule_slot
@@ -302,40 +292,39 @@ class _HostTransport:
                     got = True
                     listen_s = lay.schedule_listen_until_copy(copy)
                     break
-        c[0] += listen_s
+        self.costs[n][0] += listen_s
         return got
 
-    def first_schedule(self, pairs: list[tuple[int, str]],
-                       acc: _RoundAccountant) -> dict[int, bool]:
-        return {n: self._hear(n, acc.costs[n]) for n, _ in pairs}
+    def first_schedule(self,
+                       pairs: list[tuple[int, str]]) -> dict[int, bool]:
+        return {n: self._hear(n) for n, _ in pairs}
 
-    def data(self, owner: int, alive: list[int],
-             acc: _RoundAccountant) -> bool:
+    def data(self, owner: int, alive: list[int]) -> bool:
         """Send owner's packet to the host; whether the host got it."""
-        run, lay, costs = self.run, self.layout, acc.costs
+        run, lay = self.run, self.layout
         got = (not run.hooks.blocked(self.vsn, owner, self.k)
                and bernoulli(run._rx, run.p_sh_link[owner]))
-        c = costs[owner]
+        c = self.costs[owner]
         c[0] += lay.toa_data  # host repetition
         c[1] += lay.toa_data
         return got
 
-    def contend(self, contenders: list[int], alive: list[int],
-                acc: _RoundAccountant) -> Optional[int]:
-        run, lay, costs = self.run, self.layout, acc.costs
+    def contend(self, contenders: list[int],
+                alive: list[int]) -> Optional[int]:
+        run, lay = self.run, self.layout
         heard = [n for n in contenders
                  if not run.hooks.blocked(self.vsn, n, self.k)]
         winner = run._host_capture(run.cfg_sh, heard) if heard else None
         for n in contenders:
-            c = costs[n]
+            c = self.costs[n]
             c[0] += lay.toa_contention  # winner echo
             c[1] += lay.toa_contention
         return winner
 
-    def second_schedule(self, alive: list[int], acc: _RoundAccountant):
+    def second_schedule(self, alive: list[int]):
         """A timing refresh only: never changes membership."""
         for n in alive:
-            self._hear(n, acc.costs[n])
+            self._hear(n)
 
 
 @dataclass(frozen=True)
@@ -462,9 +451,8 @@ class ProtocolRun:
         # protocol state
         self.nstate: dict[int, NodeState] = {n: NodeState() for n in self.nodes}
         self.mhb_listeners: set[int] = set()
-        self.wait_mh: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        self.wait_sh: dict[int, list[tuple[int, str, int]]] = defaultdict(list)
-        self.samplers: dict[int, set[int]] = defaultdict(set)
+        # (vsn, round index) -> [(node, role, sync token at booking)]
+        self.due = defaultdict(list)
         self.pending_sync: dict[int, float] = {}
         self.sync_token: dict[int, int] = {n: 0 for n in self.nodes}
         self.host_busy_until = 0.0
@@ -497,12 +485,12 @@ class ProtocolRun:
         while (start := self.params.mh_round_start(k)) < self.horizon_s:
             if self.has_mh:
                 self.queue.schedule(to_us(start), self._handle_round,
-                                    _FloodTransport, k)
+                                    _FloodRound, k)
             if self.sh_enabled:
                 sh_start = self.params.sh_round_start(k)
                 if sh_start < self.horizon_s:
                     self.queue.schedule(to_us(sh_start), self._handle_round,
-                                        _HostTransport, k)
+                                        _HostRound, k)
             k += 1
 
     def _event(self, t: float, kind: str, node: int, *data):
@@ -516,9 +504,6 @@ class ProtocolRun:
             self._event(t, "transition", node, old.vsn.value,
                         new.vsn.value, event.value)
         return new
-
-    def members(self, vsn: Vsn) -> list[int]:  # ascending
-        return [n for n in self.nodes if self.nstate[n].vsn is vsn]
 
     # ------------------------------------------------------------------
     # power lifecycle
@@ -594,16 +579,11 @@ class ProtocolRun:
         return min(cands) if cands else float("inf")
 
     def _handle_sync(self, node: int, token: int, t: float):
-        if (self.sync_token.get(node) != token
-                or self.pending_sync.get(node) != t
-                or self.nstate[node].vsn is not Vsn.BOOTSTRAPPING):
+        if self.sync_token[node] != token:
             return
         # requests within one packet duration overlap at the host
-        cluster = sorted(
-            (tm, m) for m, tm in self.pending_sync.items()
-            if t <= tm <= t + self.toa_sync
-            and self.nstate[m].vsn is Vsn.BOOTSTRAPPING
-        )
+        cluster = sorted((tm, m) for m, tm in self.pending_sync.items()
+                         if t <= tm <= t + self.toa_sync)
         survivors: list[tuple[int, float]] = []
         for tm, m in cluster:
             self.pending_sync.pop(m, None)
@@ -653,12 +633,16 @@ class ProtocolRun:
     def _register_synced(self, node: int, t: float):
         if self.has_mh:  # ewan or drb: multi_hop never syncs
             k1, t1 = self.params.next_mh_round_after(t)
-            self.wait_mh[k1].append((node, self.sync_token[node]))
+            self._book_due("multi_hop", k1, node, "bootstrap")
             self._event(t, "sync_ok", node, "mh", k1, t1 - t)
         else:  # single-hop baseline: response carries the next round time
             k1, _ = self.params.next_sh_round_after(t)
-            self.wait_sh[k1].append((node, "bootstrap", self.sync_token[node]))
+            self._book_due("single_hop", k1, node, "bootstrap")
             self._event(t, "sync_ok", node, "sh", k1)
+
+    def _book_due(self, vsn: str, k: int, node: int, role: str):
+        """Book node into round k of vsn in role, under its current token."""
+        self.due[vsn, k].append((node, role, self.sync_token[node]))
 
     def _host_capture(self, cfg: RadioConfig,
                       nodes: Sequence[int]) -> Optional[int]:
@@ -711,28 +695,28 @@ class ProtocolRun:
                 alive.append(n)
         return alive
 
-    def _handle_round(self, transport, k: int):
-        """Round k on the transport class's VSN: roles from the first
-        schedule, then the slot plan, booking every participant's energy."""
-        tp = transport(self, k)
-        layout = tp.layout
-        rs = tp.rs
-        pairs = tp.gather()
-        assignments = tp.book.prune_and_fill()
+    def _handle_round(self, round_cls, k: int):
+        """Round k on round_cls's VSN: roles from the first schedule, then
+        the slot plan, booking every participant's energy."""
+        rnd = round_cls(self, k)
+        layout = rnd.layout
+        rs = rnd.rs
+        pairs = rnd.gather()
+        assignments = rnd.book.prune_and_fill()
         n_slots = len(assignments)
         re = rs + layout.round_duration(n_slots)
         self.host_busy_until = max(self.host_busy_until, re)
         # ewan's every m-th single-hop schedule orders multi-hop sampling
-        sample = (tp.vsn == "single_hop" and self.has_mh
+        sample = (rnd.vsn == "single_hop" and self.has_mh
                   and k % self.params.m == 0)
 
-        record = RoundRecord(vsn=tp.vsn, round_index=k, round_start_s=rs)
+        record = RoundRecord(vsn=rnd.vsn, round_index=k, round_start_s=rs)
         self.records.append(record)
         if not pairs:
-            tp.book.observe_round(())
+            rnd.book.observe_round(())
             return
-        acc = _RoundAccountant(self, record, tp, [n for n, _ in pairs])
-        received = tp.first_schedule(pairs, acc)
+        rnd.begin([n for n, _ in pairs])
+        received = rnd.first_schedule(pairs)
 
         # roles after the first schedule
         leave_t = rs + layout.schedule_slot
@@ -742,14 +726,14 @@ class ProtocolRun:
         for n, role in pairs:
             if received[n]:
                 self._transition(n, TransitionEvent.SAMPLED_MH_SUCCESS
-                                 if role == "sample" else tp.received_event,
+                                 if role == "sample" else rnd.received_event,
                                  rs)
                 if role != "member":
-                    self._event(rs, "join", n, tp.tag, role, k)
+                    self._event(rs, "join", n, rnd.tag, role, k)
                 if role == "listen":
                     self.mhb_listeners.discard(n)
                 if sample:
-                    self.samplers[k + 1].add(n)
+                    self._book_due("multi_hop", k + 1, n, "sample")
                 alive.append(n)
                 continue
             if role == "listen":
@@ -758,63 +742,61 @@ class ProtocolRun:
             leavers.append(n)
             if role == "sample":
                 self._transition(n, TransitionEvent.SAMPLED_MH_FAILURE, rs)
-            elif role == "bootstrap" and tp.vsn == "multi_hop":
+            elif role == "bootstrap" and rnd.vsn == "multi_hop":
                 if self.sh_enabled:
                     # hand over to this period's single-hop round
-                    self.wait_sh[k].append(
-                        (n, "bootstrap", self.sync_token[n]))
+                    self._book_due("single_hop", k, n, "bootstrap")
                 else:
                     self._retry_sync(n, leave_t)
             else:
                 st = self._transition(n, TransitionEvent.MISSED_SCHEDULE, rs)
-                self._event(rs, "sched_miss", n, tp.tag, k,
+                self._event(rs, "sched_miss", n, rnd.tag, k,
                             st.missed_schedules)
                 if role == "bootstrap":
                     self._retry_sync(n, leave_t)
                 elif (st.vsn is Vsn.MULTI_HOP
                         and st.missed_schedules >= self.params.p):
-                    # with single-hop disabled the transition already
-                    # returned the node to bootstrapping
-                    if self.sh_enabled:
-                        self.wait_sh[k].append((n, "mh_exit", -1))
+                    # only reachable with single-hop enabled: without it
+                    # the transition returned the node to bootstrapping
+                    self._book_due("single_hop", k, n, "mh_exit")
                 elif st.vsn is Vsn.BOOTSTRAPPING:
                     self._enter_bootstrap(n, leave_t)
-        acc.fragile = {n for n in alive if self.accounts[n].e_cap
-                       < tp.fragile_j}
+        rnd.fragile = {n for n in alive if self.accounts[n].e_cap
+                       < rnd.fragile_j}
         # leavers are done after the first schedule slot
         for n in leavers:
-            acc.flush(n)
+            rnd.flush(n)
 
         delivered: set[int] = set()
         attempted: set[int] = set()
         t = rs + (layout.schedule_slot + layout.gap)
-        acc.settle(alive, t)
+        rnd.settle(alive, t)
         for what, span in layout.slot_plan(assignments):
             if what == "contention":
                 live = [n for n in alive if n not in assignments]
                 if live:
-                    w = tp.contend(live, alive, acc)
+                    w = rnd.contend(live, alive)
                     if w is not None:
-                        tp.book.enqueue_demand(w)
-                        self._event(rs, "contend_won", w, tp.tag, k)
+                        rnd.book.enqueue_demand(w)
+                        self._event(rs, "contend_won", w, rnd.tag, k)
             elif what == "schedule":
                 if alive:
-                    tp.second_schedule(alive, acc)
+                    rnd.second_schedule(alive)
             elif what in alive:
-                got = tp.data(what, alive, acc)
+                got = rnd.data(what, alive)
                 if got is not None:
                     attempted.add(what)
                     if got:
                         delivered.add(what)
             t += span
-            acc.settle(alive, t)
+            rnd.settle(alive, t)
 
         # the fragile nodes were settled at the last slot end
         for n in alive:
-            if n not in acc.fragile:
-                acc.flush(n, re)
-        self._advance_to(stay, re, tp.loads.listen)
-        acc.close(received, delivered, attempted, n_slots)
+            if n not in rnd.fragile:
+                rnd.flush(n, re)
+        self._advance_to(stay, re, rnd.loads.listen)
+        rnd.close(record, received, delivered, attempted, n_slots)
 
     # ------------------------------------------------------------------
     # main loop

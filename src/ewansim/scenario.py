@@ -298,7 +298,7 @@ def hop_depths(links: LinkMatrix, config: RadioConfig,
 class Scenario:
     """Everything one run needs, minus the protocol choice and the seed.
 
-    Every Scenario has passed check_fields and verify_scenario: building
+    Every Scenario has passed check_fields and _verify_scenario: building
     one that fails either raises."""
 
     kind: str
@@ -317,7 +317,7 @@ class Scenario:
 
     def __post_init__(self):
         check_fields(self)
-        problems = verify_scenario(self)
+        problems = _verify_scenario(self)
         if problems:
             raise ScenarioError("; ".join(problems))
 
@@ -332,7 +332,7 @@ class Scenario:
         return generate_traces(self.trace_gen, self.n_nodes, stream)
 
 
-def verify_scenario(scenario: Scenario) -> List[str]:
+def _verify_scenario(scenario: Scenario) -> List[str]:
     """Check every structural contract; returns violation descriptions."""
     if (scenario.traces is None) == (scenario.trace_gen is None):
         return ["exactly one of fixed traces or a trace recipe is required"]
@@ -542,6 +542,12 @@ _SCENARIO_KEYS = frozenset((
 _VSN_KEYS = ("bootstrap", "single_hop", "multi_hop")
 
 
+def _mapping(what: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a mapping, got {value!r}")
+    return value
+
+
 def _reject_unknown(what: str, doc: dict, known):
     unknown = sorted(str(key) for key in doc if key not in known)
     if unknown:
@@ -592,8 +598,12 @@ def _write_trace_csv(path: str, trace: HarvestTrace):
             writer.writerow([repr(i * trace.resolution_s), repr(float(value))])
 
 
-def _read_trace_csv(path: str) -> HarvestTrace:
-    if not os.path.exists(path):
+def _read_trace_csv(base: str, node, ref) -> HarvestTrace:
+    if not isinstance(ref, str):
+        raise ScenarioError(f"trace reference for node {node} must be a "
+                            f"file path, got {ref!r}")
+    path = os.path.join(base, ref)
+    if not os.path.isfile(path):
         raise ScenarioError(f"missing trace file: {path}")
     times: List[float] = []
     values: List[float] = []
@@ -637,13 +647,14 @@ def load_scenario(path: str) -> Scenario:
     base = os.path.dirname(path)
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = _mapping("the top level", yaml.safe_load(fh))
         fmt = doc["format"] if "format" in doc else "missing"
         if type(fmt) is not int or fmt != 1:
             raise ScenarioError(f"scenario format {fmt} is not supported; "
                                 f"this version reads format 1")
         _reject_unknown("top-level", doc, _SCENARIO_KEYS)
-        _reject_unknown("radio", doc["radio"], _VSN_KEYS)
+        radio = _mapping("radio", doc["radio"])
+        _reject_unknown("radio", radio, _VSN_KEYS)
         short = np.asarray(doc["links_multi_hop"], dtype=float)
         long_range = np.asarray(doc["links_single_hop"], dtype=float)
         traces = None
@@ -654,23 +665,25 @@ def load_scenario(path: str) -> Scenario:
             if bad:
                 raise ScenarioError(f"traces keys must be integer node ids, "
                                     f"got {', '.join(bad)}")
-            traces = {node: _read_trace_csv(os.path.join(base, rel))
-                      for node, rel in doc["traces"].items()}
+            traces = {node: _read_trace_csv(base, node, ref)
+                      for node, ref in doc["traces"].items()}
         return Scenario(
             kind=doc["kind"],
             n_nodes=doc["n_nodes"],
             links_multi_hop=LinkMatrix(len(short), short),
             links_single_hop=LinkMatrix(len(long_range), long_range),
-            params=ProtocolParams(**doc["params"]),
+            params=ProtocolParams(**_mapping("params", doc["params"])),
             vsn_configs=VsnConfigs(**{
-                vsn: RadioConfig(**doc["radio"][vsn]) for vsn in _VSN_KEYS}),
-            energy_params=EnergyParams(**doc["energy"]),
+                vsn: RadioConfig(**_mapping(f"radio.{vsn}", radio[vsn]))
+                for vsn in _VSN_KEYS}),
+            energy_params=EnergyParams(**_mapping("energy", doc["energy"])),
             horizon_s=doc["horizon_s"],
             storage_capacity_j=doc["storage_capacity_j"],
             initial_charge_j=doc["initial_charge_j"],
             traces=traces,
-            trace_gen=(TraceGenParams(**doc["trace_gen"])
-                       if "trace_gen" in doc else None),
+            trace_gen=(
+                TraceGenParams(**_mapping("trace_gen", doc["trace_gen"]))
+                if "trace_gen" in doc else None),
             bottleneck=doc.get("bottleneck"),
         )
     except (KeyError, TypeError, ValueError, yaml.YAMLError) as exc:

@@ -430,8 +430,10 @@ class TestVerifyCommand:
         assert "traces must map node ids" in err
 
     # faults in a saved case-study scenario that verify once passed, or
-    # reported without naming the field; a trace key of 1.7 once loaded
-    # as node 1
+    # reported without naming the field or the file; a trace key of 1.7
+    # once loaded as node 1, a nan path loss was reported as asymmetry,
+    # a section that is not a mapping ended in a ** or index error, and
+    # a trace reference to a directory ended in an OSError line
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(n_nodes=0, kind="fh", links_multi_hop=[[0.0]],
                                 links_single_hop=[[0.0]]),
@@ -442,7 +444,20 @@ class TestVerifyCommand:
          "harvesting traces for nodes [7] outside the scenario's nodes 1..2"),
         (lambda doc: doc["traces"].update({1.7: doc["traces"].pop(1)}),
          "traces keys must be integer node ids, got 1.7"),
-    ], ids=["no-nodes", "stray-vsn", "stray-trace", "float-trace-key"])
+        (lambda doc: doc["links_multi_hop"][0].__setitem__(1, float("nan")),
+         "path loss [0][1] must be finite, got nan"),
+        (lambda doc: doc.update(params=None),
+         "params must be a mapping, got None"),
+        (lambda doc: doc.update(energy=[1]),
+         "energy must be a mapping, got [1]"),
+        (lambda doc: doc.update(radio=[]), "radio must be a mapping, got []"),
+        (lambda doc: doc["traces"].update({1: 5}),
+         "trace reference for node 1 must be a file path, got 5"),
+        (lambda doc: doc["traces"].update({1: "traces"}),
+         "missing trace file: "),
+    ], ids=["no-nodes", "stray-vsn", "stray-trace", "float-trace-key",
+            "nan-link", "params-null", "energy-list", "radio-list",
+            "trace-ref-int", "trace-ref-dir"])
     def test_case_study_fault_is_a_named_error_line(self, tmp_path, capsys,
                                                     edit, message):
         path = gen(tmp_path, "case", "--kind", "case-study")
@@ -458,5 +473,5 @@ class TestVerifyCommand:
         code = main(["verify", "--scenario", path])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:")
+        assert err.startswith(f"error: malformed scenario file {path}: ")
         assert message in err

@@ -194,7 +194,7 @@ _WRONG = {
     "Tuple[int, int]": (True, "1", [1], [1.5, 2], [True, 2]),
 }
 # annotations check_fields leaves to the class itself or to
-# verify_scenario: names, nested configs, link matrices and fixed traces
+# the scenario's own checks: names, nested configs, link matrices and fixed traces
 _NOT_SCALAR = {
     "str", "LinkMatrix", "ProtocolParams", "VsnConfigs", "EnergyParams",
     "Optional[Dict[int, HarvestTrace]]", "Optional[TraceGenParams]",

@@ -14,7 +14,7 @@ from ewansim.flood import (
     simulate_flood,
 )
 from ewansim.links import LinkMatrix
-from ewansim.protocol.run import _FloodTransport
+from ewansim.protocol.run import _FloodRound
 from ewansim.radio import RadioConfig, reception_probability, time_on_air
 
 import oracles
@@ -216,8 +216,8 @@ class TestSingleInitiator:
         group = [1, 2, 4, 5]
         slot = {n: [0.0, 0.0, 0.0] for n in group}
         first = {n: [0.0, 0.0, 0.0] for n in group}
-        _FloodTransport._book(res, group, slot)
-        _FloodTransport._book(res, group, first, span)
+        _FloodRound._book(res, group, slot)
+        _FloodRound._book(res, group, first, span)
         for node in group:
             r = res.nodes[node]
             tx = r.tx_count * res.toa_s

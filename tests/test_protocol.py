@@ -16,8 +16,8 @@ from ewansim.engine import Draws, RandomStreams, to_us
 from ewansim.links import LinkMatrix
 from ewansim.protocol.params import ProtocolParams
 from ewansim.protocol.records import NodeRoundStats, RoundRecord
-from ewansim.protocol.run import (ProtocolRun, RunHooks, _FloodTransport,
-                                  _RoundAccountant, simulate_run)
+from ewansim.protocol.run import (ProtocolRun, RunHooks, _FloodRound, _Round,
+                                  simulate_run)
 from ewansim.protocol.state import (
     NodeState,
     TransitionError,
@@ -62,13 +62,16 @@ class TestSyncHandshake:
     def test_sync_never_points_at_an_earlier_sh_round(self):
         # at t=302 the k=1 single-hop round (305) is imminent, but the node
         # waits for the next multi-hop round; it reaches single-hop only
-        # through that round's hand-off (wait_sh of the same period)
+        # through that round's hand-off (a single-hop entry of the same
+        # period)
         run = _synced_at(302.0)
         (ev,) = run.events
         assert ev.data[:2] == ("mh", 2)
         assert ev.data[2] == pytest.approx(298.0)
-        assert [n for n, _ in run.wait_mh[2]] == [1]
-        assert not any(run.wait_sh.values())
+        assert [(n, role) for n, role, _ in run.due["multi_hop", 2]] == [
+            (1, "bootstrap")]
+        assert not any(entries for (vsn, _), entries in run.due.items()
+                       if vsn == "single_hop")
 
     def test_round_must_be_in_the_future(self):
         # a sync that ends exactly at a round start waits for the next one
@@ -440,7 +443,7 @@ class TestCarefulRound:
         first = run._flood("sched", {0: 0}, frozenset({0, 1, 2}),
                            PARAMS.schedule_payload_mh)
         costs = {1: [0.0, 0.0, 0.0]}
-        _FloodTransport._book(first, [1], costs, sched_span)
+        _FloodRound._book(first, [1], costs, sched_span)
         li, tx, idl = costs[1]
         eff = run.eparams.buck_efficiency
         target = 1.5 * (li * run.load_mh.listen[0] + tx * run.load_mh.tx[0]
@@ -492,14 +495,14 @@ class TestCarefulRound:
         assert run.accounts[2].e_cap > fragile_j
 
         flushes = {1: [], 2: []}
-        flush = _RoundAccountant.flush
+        flush = _Round.flush
 
-        def spy(acc, n, end_t=None):
-            died = flush(acc, n, end_t)
+        def spy(rnd, n, end_t=None):
+            died = flush(rnd, n, end_t)
             flushes[n].append(run.accounts[n].clock_s)
             return died
 
-        monkeypatch.setattr(_RoundAccountant, "flush", spy)
+        monkeypatch.setattr(_Round, "flush", spy)
         before = {n: run.accounts[n].drawn_snapshot() for n in (1, 2)}
         run.queue.run_until(to_us(rs))
         monkeypatch.undo()
@@ -558,27 +561,68 @@ class TestCarefulRound:
         self._check_round_books(run, k, before)
 
 
+class TestDueList:
+    """A node booked into a later round is gathered only while its sync
+    token is the one it was booked with; a death moves the token on."""
+
+    @staticmethod
+    def _die(run: ProtocolRun, node: int, t: float):
+        """Empty node's store and kill it at t: with no harvest it stays
+        off for the rest of the run."""
+        _drain_to(run, node, 0.0)
+        run._kill(node, t)
+
+    def test_bootstrapper_that_dies_before_its_round_does_not_join(self):
+        # both nodes synced within the first 100 s and wait for round 1
+        run = _two_node_run_before("ewan", 100.0)
+        assert [(n, role) for n, role, _ in run.due["multi_hop", 1]] == [
+            (1, "bootstrap"), (2, "bootstrap")]
+        self._die(run, 1, 100.0)
+        run.queue.run_until(to_us(PARAMS.mh_round_start(1)))
+        rec = run.records[-1]
+        assert (rec.vsn, rec.round_index) == ("multi_hop", 1)
+        assert list(rec.nodes) == [2]
+        assert [ev.node for ev in run.events if ev.kind == "join"] == [2]
+
+    def test_sampler_that_dies_before_the_mh_round_is_not_gathered(self):
+        # single-hop round k orders multi-hop sampling (k % m == 0)
+        k = 2
+        assert k % PARAMS.m == 0
+        run = _two_node_run_before("ewan", PARAMS.sh_round_start(k))
+        run.nstate[1] = NodeState(Vsn.SINGLE_HOP)
+        run.queue.run_until(to_us(PARAMS.sh_round_start(k)))
+        assert [(n, role) for n, role, _ in run.due["multi_hop", k + 1]] == [
+            (1, "sample")]
+        self._die(run, 1, PARAMS.sh_round_start(k) + 10.0)
+        run.queue.run_until(to_us(PARAMS.mh_round_start(k + 1)))
+        rec = run.records[-1]
+        assert (rec.vsn, rec.round_index) == ("multi_hop", k + 1)
+        assert list(rec.nodes) == [2]
+        assert not any(ev.kind == "join" and ev.data[1] == "sample"
+                       for ev in run.events)
+
+
 class TestRoundRecords:
     @staticmethod
     def _accountant():
         sc = flat_scenario(2)
         run = ProtocolRun(sc, "ewan", RandomStreams(11, 0), sc.traces)
-        tp = _FloodTransport(run, 1)
-        record = RoundRecord("multi_hop", 1, tp.rs)
-        return run, record, _RoundAccountant(run, record, tp, [1, 2])
+        rnd = _FloodRound(run, 1)
+        rnd.begin([1, 2])
+        return run, RoundRecord("multi_hop", 1, rnd.rs), rnd
 
     def test_close_records_each_participant(self):
-        run, record, acc = self._accountant()
-        acc.close({1: True, 2: False}, {1}, {1, 2}, 2)
+        run, record, rnd = self._accountant()
+        rnd.close(record, {1: True, 2: False}, {1}, {1, 2}, 2)
         assert record.nodes == {1: NodeRoundStats(True, 1, 1, 0.0, 0.0, 0.0),
                                 2: NodeRoundStats(False, 0, 1, 0.0, 0.0, 0.0)}
         assert [ev.kind for ev in run.events] == ["round"]
 
     def test_close_rejects_a_delivery_never_attempted(self):
-        run, record, acc = self._accountant()
+        run, record, rnd = self._accountant()
         with pytest.raises(ValueError, match="cannot deliver more packets "
                                              "than attempted"):
-            acc.close({1: True, 2: True}, {1}, {2}, 1)
+            rnd.close(record, {1: True, 2: True}, {1}, {2}, 1)
         assert record.nodes == {}
         assert run.events == []
 
